@@ -211,9 +211,10 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
     mean = float(x.mean())
     d = x - mean
-    m2 = float(np.mean(d**2))
-    m3 = float(np.mean(d**3))
-    m4 = float(np.mean(d**4))
+    d2 = d * d
+    m2 = float(np.mean(d2))
+    m3 = float(np.mean(d2 * d))
+    m4 = float(np.mean(d2 * d2))
     var = m2 * n / (n - 1)
     if m2 > 0.0 and n >= 3:
         skew = (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)

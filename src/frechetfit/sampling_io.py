@@ -7,6 +7,9 @@ line (optional single header line; comma or whitespace delimited columns),
 written with 17 significant digits for lossless round trips.
 """
 
+import io
+import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -55,38 +58,122 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def read_samples(path: Union[str, Path], column: Optional[str] = None) -> list[float]:
-    """Parse one value per line, or the named column of a delimited file.
+def _layout(tokens: list[str], column: Optional[str], lineno: int) -> tuple[int, bool]:
+    """Column index to read, and whether `tokens`, the first non-blank line, is a header.
 
-    A first line containing any non-numeric token is treated as a header.
-    Blank lines are skipped; any other non-numeric token raises ParseError
-    with its line number.
+    A line holding any non-numeric token is a header.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    if all(_is_number(t) for t in tokens):
+        if column is not None:
+            raise ParseError(f"column {column!r} requested but file has no header", lineno)
+        return 0, False
+    header = [t.strip() for t in tokens]
+    if column is None:
+        return 0, True
+    if column not in header:
+        raise ParseError(f"column {column!r} not found in header {header}", lineno)
+    return header.index(column), True
+
+
+def _scan(text: str, column: Optional[str]) -> list[float]:
+    """Line-by-line reader; it defines the format and gives ParseError its line number."""
     values: list[float] = []
-    col_index = 0
-    header_seen = False
-    for lineno, line in enumerate(lines, start=1):
+    col_index = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = _split(line)
         if not tokens:
             continue
-        if not values and not header_seen and any(not _is_number(t) for t in tokens):
-            header = [t.strip() for t in tokens]
-            if column is not None:
-                if column not in header:
-                    raise ParseError(f"column {column!r} not found in header {header}", lineno)
-                col_index = header.index(column)
-            header_seen = True
-            continue
-        if column is not None and not header_seen:
-            raise ParseError(f"column {column!r} requested but file has no header", lineno)
+        if col_index is None:
+            col_index, is_header = _layout(tokens, column, lineno)
+            if is_header:
+                continue
         if col_index >= len(tokens):
             raise ParseError(f"line {lineno} has only {len(tokens)} column(s)", lineno)
         token = tokens[col_index].strip()
-        if not _is_number(token):
-            raise ParseError(f"non-numeric value {token!r} at line {lineno}", lineno)
-        values.append(float(token))
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"non-numeric value {token!r} at line {lineno}", lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {token!r} at line {lineno}", lineno)
+        values.append(value)
+    return values
+
+
+# Line breaks of str.splitlines() that np.loadtxt reads as field whitespace.
+_SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _loadtxt_plan(data: bytes, column: Optional[str]) -> Optional[tuple[Optional[str], int, int]]:
+    """The (delimiter, skiprows, usecols) with which np.loadtxt reads `data` as _scan does.
+
+    Returns None where np.loadtxt could split lines or fields differently:
+    non-ASCII text, line breaks that only str.splitlines knows, commas in a
+    whitespace-delimited file, and empty comma fields before the column
+    read, which _split drops and np.loadtxt counts.
+    """
+    if not data.isascii() or any(b in data for b in _SPLITLINES_ONLY_BREAKS):
+        return None
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
+        for lineno, line in enumerate(iter(fh.readline, ""), start=1):
+            tokens = _split(line)
+            if tokens:
+                break
+        else:
+            return None
+    col_index, is_header = _layout(tokens, column, lineno)
+    skiprows = lineno if is_header else 0
+    if "," not in line:
+        if b"," in data:
+            return None
+        return None, skiprows, col_index
+    if col_index > 0:
+        fields = data.translate(None, b" \t\x1f")
+        if fields.startswith(b",") or any(s in fields for s in (b",,", b"\n,", b"\r,")):
+            return None
+    return ",", skiprows, col_index
+
+
+def _load(
+    path: Union[str, Path], delimiter: Optional[str], skiprows: int, col_index: int
+) -> Optional[list[float]]:
+    """One np.loadtxt call; None if it raises or yields a non-finite value."""
+    try:
+        with warnings.catch_warnings():
+            # a header-only file: the caller raises EmptyInputError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            x = np.loadtxt(
+                path,
+                delimiter=delimiter,
+                comments=None,
+                skiprows=skiprows,
+                usecols=col_index,
+                ndmin=1,
+                encoding="ascii",
+            )
+    except ValueError:
+        return None
+    if not np.isfinite(x).all():
+        return None
+    return x.tolist()
+
+
+def read_samples(path: Union[str, Path], column: Optional[str] = None) -> list[float]:
+    """Parse one value per line, or the named column of a delimited file.
+
+    A first non-blank line containing any non-numeric token is treated as a
+    header. Blank lines are skipped; any other non-numeric token, and any
+    nan or infinite value, raises ParseError with its line number.
+
+    One np.loadtxt call reads the file where it splits lines and fields as
+    the line scanner does; otherwise, or when that call fails, the scanner
+    reads the file and reports the offending line.
+    """
+    # the bytes are freed before np.loadtxt reads the file, which bounds peak memory
+    plan = _loadtxt_plan(Path(path).read_bytes(), column)
+    values = _load(path, *plan) if plan is not None else None
+    if values is None:
+        values = _scan(Path(path).read_text(), column)
     if not values:
         raise EmptyInputError(f"no data values found in {path}")
     return values

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import frechetfit
 import frechetfit.special_functions as sf
 from frechetfit import FrechetShape, LaurentCoefficients, normalized_centered_moment
 from frechetfit.cli import main
@@ -44,6 +49,13 @@ class TestExitStatusContract:
         p.write_text("1.0\nxyz\n")
         code, _, _ = run(capsys, "estimate", "--input", str(p))
         assert code == 4
+
+    def test_non_finite_value_is_4(self, capsys, tmp_path):
+        p = tmp_path / "nan.txt"
+        p.write_text("1.0\n2.0\nnan\n")
+        code, _, err = run(capsys, "estimate", "--input", str(p))
+        assert code == 4
+        assert "line 3" in err
 
 
 class TestMoments:
@@ -176,6 +188,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check")
         assert code != 0
         assert "FAIL" in out
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only `check` needs scipy.integrate, which dominates the CLI import time
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    code = "import sys, frechetfit.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestVersion:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frechetfit import (
     DomainError,
@@ -15,6 +18,8 @@ from frechetfit import (
     sample,
     write_samples,
 )
+from frechetfit import sampling_io
+from frechetfit.sampling_io import _scan
 
 
 def config(alpha=5.0, m=0.0, s=1.0, seed=42, count=1000):
@@ -92,6 +97,92 @@ class TestReadSamples:
         p.write_text("1.0\n\n2.0\n\n")
         assert read_samples(p) == [1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "text, column, expected, fast",
+        [
+            ("\n\n1.0\n2.0\n", None, [1.0, 2.0], True),
+            ("1.0\n\n  \n2.0\n\t\n3.0\n", None, [1.0, 2.0, 3.0], True),
+            ("1.0\n2.0\n\n\n", None, [1.0, 2.0], True),
+            ("\n\nvalue\n\n1.0\n2.0\n", None, [1.0, 2.0], True),
+            ("t,value,w\n0,1.5,9\n1,2.5,9\n", "value", [1.5, 2.5], True),
+            ("value\r\n1.0\r\n\r\n2.0\r\n", None, [1.0, 2.0], True),
+            ("1.0\r2.0\r", None, [1.0, 2.0], True),
+            ("t  value\n0\t1.5\n 1   2.5 \n", "value", [1.5, 2.5], True),
+            ("1.5,\n2.5,\n", None, [1.5, 2.5], True),
+            ("t,value\n0,1.5,\n", "value", [1.5], True),
+            # np.loadtxt would split these otherwise, so the scanner reads them
+            ("t,value\n0,,1.5\n", "value", [1.5], False),
+            ("a,b,c\n1,,2,3\n", "c", [3.0], False),
+            ("1.0\x0b2.0\n", None, [1.0, 2.0], False),
+            ("t value\n0 1.5\n1,2.5\n", "value", [1.5, 2.5], False),
+            ("1_000\n", None, [1000.0], False),
+        ],
+    )
+    def test_matches_scanner(self, tmp_path, monkeypatch, text, column, expected, fast):
+        assert _scan(text, column) == expected
+        if fast:
+            monkeypatch.setattr(sampling_io, "_scan", None)
+        p = tmp_path / "case.txt"
+        p.write_bytes(text.encode())
+        assert read_samples(p, column=column) == expected
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("value\n1.0\nabc\n", 3),
+            ("\n\n1.0\n\nabc\n", 5),
+            ("1.0\r\nabc\r\n", 2),
+            ("1.0\n2 3,4\n", 2),
+            ("1.0\nnan\n", 2),
+            ("value\n1.0\n\ninf\n", 4),
+            ("-inf\n1.0\n", 1),
+            ("1.0\n1e400\n", 2),
+        ],
+    )
+    def test_parse_error_line(self, tmp_path, text, line):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(text.encode())
+        with pytest.raises(ParseError) as exc:
+            read_samples(p)
+        assert exc.value.line == line
+
+    def test_column_without_header(self, tmp_path):
+        p = tmp_path / "nohdr.txt"
+        p.write_text("\n1.0\n2.0\n")
+        with pytest.raises(ParseError) as exc:
+            read_samples(p, column="value")
+        assert exc.value.line == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only(self, tmp_path):
+        p = tmp_path / "hdr.txt"
+        p.write_text("value\n\n")
+        with pytest.raises(EmptyInputError):
+            read_samples(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.lists(
+            st.sampled_from(["1", "-2.5e3", "0.1", "x", "nan", " ", "\t", ",", ",,", "\n", "\r\n", "\r", "\x0b"]),
+            max_size=20,
+        ).map("".join),
+        column=st.sampled_from([None, "x"]),
+    )
+    def test_matches_scanner_property(self, tmp_path_factory, text, column):
+        p = tmp_path_factory.mktemp("fuzz") / "case.txt"
+        p.write_bytes(text.encode())
+
+        def outcome(read):
+            try:
+                return read()
+            except EmptyInputError:
+                return "empty"
+            except ParseError as exc:
+                return exc.line
+
+        expected = outcome(lambda: _scan(text, column) or "empty")
+        assert outcome(lambda: read_samples(p, column=column)) == expected
+
     def test_parse_error_with_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1.0\nabc\n")
@@ -123,3 +214,16 @@ class TestWriteReadRoundTrip:
         write_samples(p, x)
         back = read_samples(p)
         assert np.array_equal(np.asarray(back), x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        x=arrays(np.float64, st.integers(1, 50), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        header=st.booleans(),
+    )
+    def test_lossless_property(self, tmp_path_factory, x, header):
+        p = tmp_path_factory.mktemp("rt") / "rt.txt"
+        write_samples(p, x)
+        if header:
+            p.write_text("value\n" + p.read_text())
+        back = np.asarray(read_samples(p, column="value" if header else None))
+        assert back.tobytes() == x.tobytes()
