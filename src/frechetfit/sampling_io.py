@@ -104,15 +104,14 @@ def _scan(text: str, column: Optional[str]) -> list[float]:
 _SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _loadtxt_plan(data: bytes, column: Optional[str]) -> Optional[tuple[Optional[str], int, int]]:
-    """The (delimiter, skiprows, usecols) with which np.loadtxt reads `data` as _scan does.
+def _loadtxt_plan(data: bytes, column: Optional[str]) -> Optional[tuple[int, int]]:
+    """The (skiprows, usecols) with which np.loadtxt reads `data` as _scan does.
 
     Returns None where np.loadtxt could split lines or fields differently:
-    non-ASCII text, line breaks that only str.splitlines knows, commas in a
-    whitespace-delimited file, and empty comma fields before the column
-    read, which _split drops and np.loadtxt counts.
+    non-ASCII text, line breaks that only str.splitlines knows, and any
+    comma, since _split drops the empty comma fields that np.loadtxt counts.
     """
-    if not data.isascii() or any(b in data for b in _SPLITLINES_ONLY_BREAKS):
+    if b"," in data or not data.isascii() or any(b in data for b in _SPLITLINES_ONLY_BREAKS):
         return None
     with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
         for lineno, line in enumerate(iter(fh.readline, ""), start=1):
@@ -122,20 +121,11 @@ def _loadtxt_plan(data: bytes, column: Optional[str]) -> Optional[tuple[Optional
         else:
             return None
     col_index, is_header = _layout(tokens, column, lineno)
-    skiprows = lineno if is_header else 0
-    if "," not in line:
-        if b"," in data:
-            return None
-        return None, skiprows, col_index
-    if col_index > 0:
-        fields = data.translate(None, b" \t\x1f")
-        if fields.startswith(b",") or any(s in fields for s in (b",,", b"\n,", b"\r,")):
-            return None
-    return ",", skiprows, col_index
+    return (lineno if is_header else 0), col_index
 
 
 def _load(
-    path: Union[str, Path], delimiter: Optional[str], skiprows: int, col_index: int
+    source: Union[str, Path, io.TextIOWrapper], skiprows: int, col_index: int
 ) -> Optional[list[float]]:
     """One np.loadtxt call; None if it raises or yields a non-finite value."""
     try:
@@ -143,8 +133,7 @@ def _load(
             # a header-only file: the caller raises EmptyInputError
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             x = np.loadtxt(
-                path,
-                delimiter=delimiter,
+                source,
                 comments=None,
                 skiprows=skiprows,
                 usecols=col_index,
@@ -165,15 +154,27 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> list[f
     header. Blank lines are skipped; any other non-numeric token, and any
     nan or infinite value, raises ParseError with its line number.
 
-    One np.loadtxt call reads the file where it splits lines and fields as
-    the line scanner does; otherwise, or when that call fails, the scanner
-    reads the file and reports the offending line.
+    One np.loadtxt call reads a whitespace-delimited ASCII file; comma
+    files, other text, and files where that call fails go to the line
+    scanner, which also reports the offending line.
     """
-    # the bytes are freed before np.loadtxt reads the file, which bounds peak memory
-    plan = _loadtxt_plan(Path(path).read_bytes(), column)
-    values = _load(path, *plan) if plan is not None else None
+    data = Path(path).read_bytes()
+    plan = _loadtxt_plan(data, column)
+    values = None
+    if plan is not None:
+        if Path(path).is_file():
+            # np.loadtxt reads a file faster than text held in memory, and the
+            # bytes are freed before the parse, which bounds peak memory
+            source, data = path, None
+        else:
+            # a pipe can be read only once
+            source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+        values = _load(source, *plan)
     if values is None:
-        values = _scan(Path(path).read_text(), column)
+        if data is None:
+            data = Path(path).read_bytes()
+        # decoded as open() does: locale encoding, universal newlines
+        values = _scan(io.TextIOWrapper(io.BytesIO(data)).read(), column)
     if not values:
         raise EmptyInputError(f"no data values found in {path}")
     return values

@@ -190,6 +190,16 @@ class TestCheck:
         assert "FAIL" in out
 
 
+def test_estimate_reads_stdin_pipe():
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    argv = [sys.executable, "-m", "frechetfit.cli", "estimate", "--input", "/dev/stdin",
+            "--format", "json"]
+    out = subprocess.run(argv, env=env, input="1.0\n2.0\n4.0\n", capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["sample"]["count"] == 3
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # only `check` needs scipy.integrate, which dominates the CLI import time
     env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))

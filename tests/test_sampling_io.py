@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -104,13 +105,13 @@ class TestReadSamples:
             ("1.0\n\n  \n2.0\n\t\n3.0\n", None, [1.0, 2.0, 3.0], True),
             ("1.0\n2.0\n\n\n", None, [1.0, 2.0], True),
             ("\n\nvalue\n\n1.0\n2.0\n", None, [1.0, 2.0], True),
-            ("t,value,w\n0,1.5,9\n1,2.5,9\n", "value", [1.5, 2.5], True),
             ("value\r\n1.0\r\n\r\n2.0\r\n", None, [1.0, 2.0], True),
             ("1.0\r2.0\r", None, [1.0, 2.0], True),
             ("t  value\n0\t1.5\n 1   2.5 \n", "value", [1.5, 2.5], True),
-            ("1.5,\n2.5,\n", None, [1.5, 2.5], True),
-            ("t,value\n0,1.5,\n", "value", [1.5], True),
             # np.loadtxt would split these otherwise, so the scanner reads them
+            ("t,value,w\n0,1.5,9\n1,2.5,9\n", "value", [1.5, 2.5], False),
+            ("1.5,\n2.5,\n", None, [1.5, 2.5], False),
+            ("t,value\n0,1.5,\n", "value", [1.5], False),
             ("t,value\n0,,1.5\n", "value", [1.5], False),
             ("a,b,c\n1,,2,3\n", "c", [3.0], False),
             ("1.0\x0b2.0\n", None, [1.0, 2.0], False),
@@ -125,6 +126,26 @@ class TestReadSamples:
         p = tmp_path / "case.txt"
         p.write_bytes(text.encode())
         assert read_samples(p, column=column) == expected
+
+    @pytest.mark.parametrize(
+        "text, column, expected, fast",
+        [
+            ("1.0\n\n2.0\n", None, [1.0, 2.0], True),
+            ("t,value\n0,1.5\n", "value", [1.5], False),
+        ],
+    )
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_pipe(self, monkeypatch, text, column, expected, fast):
+        # a pipe can be read only once, so both paths must parse the bytes read
+        if fast:
+            monkeypatch.setattr(sampling_io, "_scan", None)
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())
+            os.close(w)
+            assert read_samples(f"/dev/fd/{r}", column=column) == expected
+        finally:
+            os.close(r)
 
     @pytest.mark.parametrize(
         "text, line",
