@@ -7,22 +7,21 @@ Three estimators of increasing fidelity:
 * order 2: the unique positive root of the cubic
   (pi^2/6) u^2 + ((gamma*pi^2 + 6 zeta(3))/3) u^3 = V in u = 1/alpha,
   solved in closed form (Cardano / trigonometric) plus a short Newton polish;
-* exact: bisection on Gamma(1-2/alpha) - Gamma(1-1/alpha)^2 = V.
+* exact: ln(Gamma(1-2/alpha) - Gamma(1-1/alpha)^2) = ln V solved in
+  t = ln alpha by an Illinois iteration on a fixed bracket.
+
+The same root finder, `_root`, solves the skewness equation in
+`fit_location_scale`.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateFitError,
-    DomainError,
-    InsufficientDataError,
-    NoConvergenceError,
-)
+from .errors import DegenerateFitError, DomainError, InsufficientDataError, NoConvergenceError
 from .frechet import FrechetParams, FrechetShape, raw_moment, shape_variance, skewness
 from .special_functions import CONSTANTS
 
@@ -58,11 +57,10 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class CubicCoefficients:
-    """Cubic a3*u^3 + a2*u^2 = rhs in the reciprocal shape u = 1/alpha."""
+    """Cubic a3*u^3 + a2*u^2 = V in the reciprocal shape u = 1/alpha."""
 
     a3: float = (CONSTANTS.euler_gamma * math.pi**2 + 6.0 * CONSTANTS.apery) / 3.0
     a2: float = CONSTANTS.pi_sq_over_6
-    rhs: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -94,12 +92,7 @@ def alpha_order1(v: float) -> EstimateResult:
     if not (v > 0.0) or not math.isfinite(v):
         raise DomainError(f"variance must be > 0, got {v!r}")
     alpha = math.pi / math.sqrt(6.0 * v)
-    return EstimateResult(
-        alpha=alpha,
-        method=Method.ORDER1,
-        residual=_variance_residual(alpha, v),
-        iterations=0,
-    )
+    return EstimateResult(alpha, Method.ORDER1, _variance_residual(alpha, v), 0)
 
 
 def _cbrt(x: float) -> float:
@@ -140,67 +133,72 @@ def alpha_order2(v: float) -> EstimateResult:
     """Analytic (Cardano) solution of the order-2 variance expansion."""
     if not (v > 0.0) or not math.isfinite(v):
         raise DomainError(f"variance must be > 0, got {v!r}")
-    coeffs = CubicCoefficients(rhs=v)
+    coeffs = CubicCoefficients()
     u = _positive_cubic_root(coeffs.a3, coeffs.a2, v)
     alpha = 1.0 / u
-    return EstimateResult(
-        alpha=alpha,
-        method=Method.ORDER2_CARDANO,
-        residual=_variance_residual(alpha, v),
-        iterations=0,
-    )
+    return EstimateResult(alpha, Method.ORDER2_CARDANO, _variance_residual(alpha, v), 0)
+
+
+def _root(f, lo: float, hi: float, ftol: float, max_iter: int):
+    """Root of f on [lo, hi] by the Illinois (modified regula falsi) method.
+
+    Returns (x, f(x), iterations) once |f(x)| <= ftol or the bracket is a few
+    ulps wide, and None when f(lo) and f(hi) have the same sign.  Halving the
+    value kept at an end that survives two steps in a row stops regula falsi
+    from stalling on one side, so convergence is superlinear.
+    """
+    flo, fhi = f(lo), f(hi)
+    for x, fx in ((lo, flo), (hi, fhi)):
+        if abs(fx) <= ftol:
+            return x, fx, 0
+    if (flo < 0.0) == (fhi < 0.0):
+        return None
+    kept = 0  # -1: hi survived the last step, +1: lo did
+    for iterations in range(1, max_iter + 1):
+        x = lo - flo * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) <= ftol:
+            return x, fx, iterations
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+            if kept == -1:
+                fhi *= 0.5
+            kept = -1
+        else:
+            hi, fhi = x, fx
+            if kept == 1:
+                flo *= 0.5
+            kept = 1
+        if hi - lo <= 4.0 * math.ulp(x):
+            return x, fx, iterations
+    raise NoConvergenceError(f"root finder did not converge in {max_iter} iterations")
 
 
 def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateResult:
-    """Solve Gamma(1-2/alpha) - Gamma(1-1/alpha)^2 = v by bracketed bisection.
+    """Solve Gamma(1-2/alpha) - Gamma(1-1/alpha)^2 = v for alpha.
 
-    The variance is strictly decreasing from +inf to 0 on (2, inf), so a
-    bracket always exists for v > 0.  The order-1 estimate seeds the bracket.
+    The variance falls strictly from +inf to 0 on (2, inf), and its log is
+    nearly linear in t = ln alpha (slope -2 at large alpha), so `_root`
+    solves ln V(e^t) = ln v for alpha in [2 + 1e-9, 1e9].  `tol` bounds the
+    relative residual |ln V(alpha) - ln v|; near alpha = 2 one ulp of alpha
+    can move V by more, and the solve then stops at the narrowest bracket
+    instead.  `residual` reports |V(alpha) - v|.  A v that no alpha in that
+    range matches raises NoConvergenceError.
     """
     if not (v > 0.0) or not math.isfinite(v):
         raise DomainError(f"variance must be > 0, got {v!r}")
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be > 0, got {tol!r}")
-
-    target = tol * max(1.0, v)
-    iterations = 0
-
-    def f(alpha: float) -> float:
-        return shape_variance(alpha) - v
-
-    guess = max(alpha_order1(v).alpha, _ALPHA_MIN * 1.5)
-    lo, hi = guess, guess
-    # expand down until f(lo) > 0 (variance above target)
-    while f(lo) <= 0.0:
-        iterations += 1
-        lo = _ALPHA_MIN + (lo - _ALPHA_MIN) / 2.0
-        if iterations > max_iter:
-            raise NoConvergenceError("failed to bracket from below")
-    # expand up until f(hi) < 0
-    while f(hi) >= 0.0:
-        iterations += 1
-        if hi >= _ALPHA_MAX or iterations > max_iter:
-            raise NoConvergenceError(f"no alpha <= {_ALPHA_MAX} matches variance {v}")
-        hi = min(2.0 * hi, _ALPHA_MAX)
-    alpha = 0.5 * (lo + hi)
-    while iterations < max_iter:
-        iterations += 1
-        alpha = 0.5 * (lo + hi)
-        fm = f(alpha)
-        if abs(fm) <= target and (hi - lo) <= 1e-12 * alpha:
-            return EstimateResult(alpha, Method.EXACT_ROOT, abs(fm), iterations)
-        if fm > 0.0:
-            lo = alpha
-        else:
-            hi = alpha
-        if (hi - lo) <= 4.0 * math.ulp(alpha):
-            fm = f(alpha)
-            if abs(fm) <= target:
-                return EstimateResult(alpha, Method.EXACT_ROOT, abs(fm), iterations)
-            break
-    raise NoConvergenceError(
-        f"exact solver did not reach |residual| <= {target} in {max_iter} iterations"
-    )
+    log_v = math.log(v)
+    f = lambda t: math.log(shape_variance(math.exp(t))) - log_v
+    root = _root(f, math.log(_ALPHA_MIN), math.log(_ALPHA_MAX), tol, max_iter)
+    if root is None:
+        raise NoConvergenceError(f"no alpha in [{_ALPHA_MIN}, {_ALPHA_MAX:g}] matches variance {v}")
+    t, log_ratio, iterations = root
+    residual = v * abs(math.expm1(log_ratio))
+    return EstimateResult(math.exp(t), Method.EXACT_ROOT, residual, iterations)
 
 
 def sample_stats(data: Sequence[float]) -> SampleStats:
@@ -229,12 +227,14 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
     return SampleStats(count=n, mean=mean, variance=var, skewness=skew, excess_kurtosis=kurt)
 
 
-def fit_location_scale(stats: SampleStats, tol: float = 1e-10) -> FrechetParams:
+def fit_location_scale(stats: SampleStats) -> FrechetParams:
     """Moment-matching fit: alpha from skewness, then scale and location.
 
     The analytic skewness depends on alpha alone and decreases strictly on
     (3, inf) towards ~1.1395, so a sample skewness below that limit (or
-    non-positive variance/skewness) cannot be matched.
+    non-positive variance/skewness) cannot be matched.  `_root` solves
+    1/skewness(1/u) = 1/skewness_sample in u = 1/alpha, where both sides are
+    bounded.
     """
     if stats.count < 3:
         raise InsufficientDataError(f"need at least 3 values, got {stats.count}")
@@ -247,27 +247,22 @@ def fit_location_scale(stats: SampleStats, tol: float = 1e-10) -> FrechetParams:
     # limit (~1.1395) drops below what 64-bit lgamma can resolve, so shapes
     # beyond that cannot be told apart by moment matching in doubles.
     lo, hi = 3.0 + 1e-9, 1e4
-    g = lambda alpha: skewness(FrechetShape(alpha)) - stats.skewness
-    if g(hi) > 0.0:
-        raise DegenerateFitError(
-            f"sample skewness {stats.skewness} is at or below the resolvable "
-            f"range (alpha would exceed {hi:g})"
-        )
-    if g(lo) < 0.0:
+    target = 1.0 / stats.skewness
+    # skewness carries rounding noise of its own here, so no residual test:
+    # the solve runs until the bracket is a few ulps wide
+    root = _root(
+        lambda u: 1.0 / skewness(FrechetShape(1.0 / u)) - target, 1.0 / hi, 1.0 / lo, 0.0, 200
+    )
+    if root is None:
+        if skewness(FrechetShape(hi)) > stats.skewness:
+            raise DegenerateFitError(
+                f"sample skewness {stats.skewness} is at or below the resolvable "
+                f"range (alpha would exceed {hi:g})"
+            )
         raise DegenerateFitError(
             f"sample skewness {stats.skewness} requires alpha <= 3"
         )
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol or (hi - lo) <= 4.0 * math.ulp(mid):
-            lo = hi = mid
-            break
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
+    alpha = 1.0 / root[0]
     scale = math.sqrt(stats.variance / shape_variance(alpha))
     location = stats.mean - scale * raw_moment(FrechetShape(alpha), 1)
     return FrechetParams(location=location, scale=scale, alpha=alpha)

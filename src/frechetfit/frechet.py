@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, UndefinedMomentError
-from .special_functions import gamma, log_gamma
+from .special_functions import ZETA, gamma, log_gamma
 
 __all__ = [
     "FrechetShape",
@@ -139,16 +139,26 @@ def centered_moment(d: FrechetShape, k: int) -> float:
     return total
 
 
+# ln Omega_2 - 2 ln Omega_1 = sum_{n>=2} zeta(n) (2^n - 2) u^n / n in u = 1/alpha:
+# the Euler-gamma terms of the two pole series cancel exactly and every term
+# left is positive.  Highest power first, for Horner.
+_LOG_VARIANCE_RATIO = tuple(
+    z * (2**n - 2) / n for n, z in reversed(list(enumerate(ZETA, start=2)))
+)
+
+
 def shape_variance(alpha: float) -> float:
     """Omega_2 - Omega_1^2 for the one-parameter distribution (alpha > 2)."""
     if alpha <= 2.0:
         raise UndefinedMomentError(f"variance diverges for alpha = {alpha} <= 2")
-    if alpha > 50.0:
-        # Both Omega values approach 1 and their difference loses digits;
-        # exp(2b)*expm1(a-2b) keeps >= 10 significant digits at alpha = 100.
-        a = log_gamma(1.0 - 2.0 / alpha)
-        b = log_gamma(1.0 - 1.0 / alpha)
-        return math.exp(2.0 * b) * math.expm1(a - 2.0 * b)
+    if alpha >= 20.0:
+        # Omega_1^2 * expm1(ln Omega_2 - 2 ln Omega_1), the exponent summed
+        # without cancellation; the first omitted term is below 1e-20 of it.
+        u = 1.0 / alpha
+        series = 0.0
+        for c in _LOG_VARIANCE_RATIO:
+            series = series * u + c
+        return math.exp(2.0 * log_gamma(1.0 - u)) * math.expm1(series * u * u)
     return _omega(alpha, 2) - _omega(alpha, 1) ** 2
 
 

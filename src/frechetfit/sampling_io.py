@@ -126,7 +126,7 @@ def _loadtxt_plan(data: bytes, column: Optional[str]) -> Optional[tuple[int, int
 
 def _load(
     source: Union[str, Path, io.TextIOWrapper], skiprows: int, col_index: int
-) -> Optional[list[float]]:
+) -> Optional[np.ndarray]:
     """One np.loadtxt call; None if it raises or yields a non-finite value."""
     try:
         with warnings.catch_warnings():
@@ -144,15 +144,17 @@ def _load(
         return None
     if not np.isfinite(x).all():
         return None
-    return x.tolist()
+    return x
 
 
-def read_samples(path: Union[str, Path], column: Optional[str] = None) -> list[float]:
+def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.ndarray:
     """Parse one value per line, or the named column of a delimited file.
 
-    A first non-blank line containing any non-numeric token is treated as a
-    header. Blank lines are skipped; any other non-numeric token, and any
-    nan or infinite value, raises ParseError with its line number.
+    Returns the values as a float64 array. A first non-blank line containing
+    any non-numeric token is treated as a header. Blank lines are skipped;
+    any other non-numeric token, and any nan or infinite value, raises
+    ParseError with its line number; bytes that do not decode in the locale
+    encoding raise ParseError too.
 
     One np.loadtxt call reads a whitespace-delimited ASCII file; comma
     files, other text, and files where that call fails go to the line
@@ -174,8 +176,12 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> list[f
         if data is None:
             data = Path(path).read_bytes()
         # decoded as open() does: locale encoding, universal newlines
-        values = _scan(io.TextIOWrapper(io.BytesIO(data)).read(), column)
-    if not values:
+        try:
+            text = io.TextIOWrapper(io.BytesIO(data)).read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not valid {exc.encoding} text: {exc.reason}") from None
+        values = np.array(_scan(text, column), dtype=np.float64)
+    if values.size == 0:
         raise EmptyInputError(f"no data values found in {path}")
     return values
 

@@ -3,6 +3,8 @@
 The expansion coefficients are built from three constants (Euler-Mascheroni
 gamma, pi^2/6 = zeta(2), and the Apery constant zeta(3)) stored as fixed
 decimal literals; the test suite recomputes them by series acceleration.
+ZETA carries zeta(2)..zeta(20) for the full series
+ln Gamma(1-t) = gamma*t + sum_{n>=2} zeta(n) t^n / n (DLMF 5.7.3).
 """
 
 import math
@@ -15,6 +17,7 @@ __all__ = [
     "LaurentCoefficients",
     "CONSTANTS",
     "LAURENT",
+    "ZETA",
     "gamma",
     "log_gamma",
     "gamma_laurent",
@@ -24,6 +27,29 @@ __all__ = [
 _EULER_GAMMA = 0.57721566490153286
 _PI_SQ_OVER_6 = 1.6449340668482264
 _APERY = 1.2020569031595943
+
+# zeta(2), zeta(3), ..., zeta(20)
+ZETA = (
+    _PI_SQ_OVER_6,
+    _APERY,
+    1.0823232337111381,
+    1.03692775514337,
+    1.0173430619844492,
+    1.008349277381923,
+    1.0040773561979444,
+    1.0020083928260821,
+    1.000994575127818,
+    1.0004941886041194,
+    1.000246086553308,
+    1.0001227133475785,
+    1.0000612481350588,
+    1.000030588236307,
+    1.0000152822594086,
+    1.0000076371976379,
+    1.000003817293265,
+    1.0000019082127165,
+    1.0000009539620338,
+)
 
 # gamma(z) overflows a 64-bit float just above this argument
 _GAMMA_OVERFLOW = 171.62437695630272

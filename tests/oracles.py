@@ -1,45 +1,11 @@
-"""Independent oracles for the test suite.
+"""Independent constant oracles for the test suite.
 
-Everything here deliberately avoids the closed-form code paths it is used
-to validate: moments come from adaptive quadrature of the defining
-integrals, constants from Euler-Maclaurin series acceleration, and
-high-precision references from mpmath.
+The constants come from Euler-Maclaurin series acceleration, not from the
+literals they validate.  The quadrature oracles for moments live in
+frechetfit.checks, which the `check` subcommand shares.
 """
 
 import math
-
-from scipy.integrate import quad
-
-_QUAD_OPTS = dict(limit=400, epsabs=1e-12, epsrel=1e-10)
-
-
-def quad_full(f) -> float:
-    a, _ = quad(f, 0.0, 1.0, **_QUAD_OPTS)
-    b, _ = quad(f, 1.0, math.inf, **_QUAD_OPTS)
-    return a + b
-
-
-def raw_moment_quad(alpha: float, k: int) -> float:
-    """E[X^k] for the one-parameter distribution, via the substitution x = 1/s.
-
-    The integrand alpha * s^(alpha-1-k) * exp(-s^alpha) is smooth at both
-    ends for k < alpha, which keeps QUADPACK at full accuracy.
-    """
-    return quad_full(lambda s: alpha * s ** (alpha - 1 - k) * math.exp(-(s**alpha)))
-
-
-def centered_moment_quad(alpha: float, k: int, mu1: float | None = None) -> float:
-    """E[(X - mu1)^k] under the same substitution."""
-    if mu1 is None:
-        mu1 = raw_moment_quad(alpha, 1)
-    return quad_full(
-        lambda s: alpha * s ** (alpha - 1 - k) * (1.0 - mu1 * s) ** k * math.exp(-(s**alpha))
-    )
-
-
-def pdf_normalization_quad(pdf, location: float) -> float:
-    total, _ = quad(pdf, location, math.inf, **_QUAD_OPTS)
-    return total
 
 
 def euler_gamma_series(n: int = 100) -> float:

@@ -28,8 +28,8 @@ from frechetfit import (
     skewness,
     write_samples,
 )
+from frechetfit.checks import centered_moment_quad, raw_moment_quad
 from frechetfit.cli import main
-from oracles import centered_moment_quad, raw_moment_quad
 
 TABLE_VARIANCES = (0.133761, 0.0222624, 0.000694362, 0.000168916)
 

@@ -50,6 +50,19 @@ class TestExitStatusContract:
         code, _, _ = run(capsys, "estimate", "--input", str(p))
         assert code == 4
 
+    def test_undecodable_bytes_is_4(self, capsys, tmp_path):
+        p = tmp_path / "binary.txt"
+        p.write_bytes(b"\xff")
+        code, _, err = run(capsys, "estimate", "--input", str(p))
+        assert code == 4
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("v", ["1e12", "1e-20"])
+    def test_variance_outside_solver_bracket_is_3(self, capsys, v):
+        code, _, err = run(capsys, "estimate", "--variance", v, "--method", "exact")
+        assert code == 3
+        assert "no alpha" in err
+
     def test_non_finite_value_is_4(self, capsys, tmp_path):
         p = tmp_path / "nan.txt"
         p.write_text("1.0\n2.0\nnan\n")
@@ -201,11 +214,18 @@ def test_estimate_reads_stdin_pipe():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only `check` needs scipy.integrate, which dominates the CLI import time
+    # only `check` needs scipy.integrate, which dominates the CLI import time,
+    # and `estimate` (all three solvers) loads no scipy module at all
     env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
-    code = "import sys, frechetfit.cli; print('scipy.integrate' in sys.modules)"
+    code = "\n".join([
+        "import contextlib, io, sys, frechetfit.cli",
+        "print('scipy.integrate' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = frechetfit.cli.main(['estimate', '--variance', '0.02', '--method', 'all'])",
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+    ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["False", "0 []"]
 
 
 class TestVersion:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechetfit import (
     CubicCoefficients,
@@ -11,6 +13,7 @@ from frechetfit import (
     FrechetShape,
     InsufficientDataError,
     Method,
+    NoConvergenceError,
     SampleStats,
     alpha_exact,
     alpha_order1,
@@ -129,6 +132,25 @@ class TestAlphaExact:
             alpha_exact(0.0)
         with pytest.raises(DomainError):
             alpha_exact(0.1, tol=-1.0)
+
+    @pytest.mark.parametrize("alpha", [2.0001, 2.00001])
+    def test_round_trip_near_two(self, alpha):
+        # V is ~1e4-1e5 here, and one ulp of alpha moves it by more than 1e-12
+        r = alpha_exact(shape_variance(alpha))
+        assert abs(r.alpha - alpha) / alpha <= 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(math.log(2.0001), math.log(1e8)))
+    def test_round_trip_property(self, log_alpha):
+        alpha = min(max(math.exp(log_alpha), 2.0001), 1e8)
+        r = alpha_exact(shape_variance(alpha))
+        assert abs(r.alpha - alpha) / alpha <= 1e-8
+        assert r.iterations <= 20
+
+    @pytest.mark.parametrize("v", [1e12, 1e-20])
+    def test_variance_outside_bracket(self, v):
+        with pytest.raises(NoConvergenceError):
+            alpha_exact(v)
 
 
 class TestEstimatorOrdering:

@@ -20,7 +20,7 @@ from frechetfit import (
     skewness,
     variance,
 )
-from oracles import centered_moment_quad, pdf_normalization_quad, raw_moment_quad
+from frechetfit.checks import centered_moment_quad, quad_full, raw_moment_quad
 
 STD = FrechetParams(0.0, 1.0, 2.0)
 
@@ -52,7 +52,7 @@ class TestPdf:
     @pytest.mark.parametrize("m,s", [(0.0, 1.0), (3.0, 2.0)])
     def test_normalization(self, alpha, m, s):
         d = FrechetParams(m, s, alpha)
-        total = pdf_normalization_quad(lambda x: pdf(d, x), m)
+        total = quad_full(lambda y: pdf(d, m + y))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -258,6 +258,15 @@ class TestVariance:
         ref = mp.gamma(1 - mp.mpf(2) / 100) - mp.gamma(1 - mp.mpf(1) / 100) ** 2
         got = shape_variance(100.0)
         assert abs(got - float(ref)) / float(ref) < 1e-10
+
+    def test_twelve_digits_on_log_grid(self):
+        # the pole series keeps full precision where Omega_2 - Omega_1^2 cancels
+        with mp.workdps(40):
+            for i in range(81):
+                alpha = 2.01 * (1e8 / 2.01) ** (i / 80)
+                u = 1 / mp.mpf(alpha)
+                ref = mp.gamma(1 - 2 * u) - mp.gamma(1 - u) ** 2
+                assert abs(shape_variance(alpha) - ref) <= 1e-12 * ref, alpha
 
 
 class TestMomentReport:

@@ -76,27 +76,30 @@ class TestReadSamples:
     def test_plain_values(self, tmp_path):
         p = tmp_path / "plain.txt"
         p.write_text("1.0\n2.5\n0.3\n")
-        assert read_samples(p) == [1.0, 2.5, 0.3]
+        x = read_samples(p)
+        assert isinstance(x, np.ndarray) and x.dtype == np.float64
+        assert x.tolist() == [1.0, 2.5, 0.3]
 
     def test_header_with_named_column(self, tmp_path):
         p = tmp_path / "named.txt"
         p.write_text("value\n1.0\n2.0\n")
-        assert read_samples(p, column="value") == [1.0, 2.0]
+        assert read_samples(p, column="value").tolist() == [1.0, 2.0]
 
     def test_multi_column_csv(self, tmp_path):
         p = tmp_path / "multi.csv"
         p.write_text("t,value\n0,1.5\n1,2.5\n")
-        assert read_samples(p, column="value") == [1.5, 2.5]
+        x = read_samples(p, column="value")
+        assert x.dtype == np.float64 and x.tolist() == [1.5, 2.5]
 
     def test_header_skipped_without_column(self, tmp_path):
         p = tmp_path / "hdr.txt"
         p.write_text("value\n3.0\n4.0\n")
-        assert read_samples(p) == [3.0, 4.0]
+        assert read_samples(p).tolist() == [3.0, 4.0]
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "blank.txt"
         p.write_text("1.0\n\n2.0\n\n")
-        assert read_samples(p) == [1.0, 2.0]
+        assert read_samples(p).tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize(
         "text, column, expected, fast",
@@ -125,7 +128,7 @@ class TestReadSamples:
             monkeypatch.setattr(sampling_io, "_scan", None)
         p = tmp_path / "case.txt"
         p.write_bytes(text.encode())
-        assert read_samples(p, column=column) == expected
+        assert read_samples(p, column=column).tolist() == expected
 
     @pytest.mark.parametrize(
         "text, column, expected, fast",
@@ -143,7 +146,7 @@ class TestReadSamples:
         try:
             os.write(w, text.encode())
             os.close(w)
-            assert read_samples(f"/dev/fd/{r}", column=column) == expected
+            assert read_samples(f"/dev/fd/{r}", column=column).tolist() == expected
         finally:
             os.close(r)
 
@@ -195,13 +198,14 @@ class TestReadSamples:
 
         def outcome(read):
             try:
-                return read()
+                values = [float(v) for v in read()]
             except EmptyInputError:
                 return "empty"
             except ParseError as exc:
                 return exc.line
+            return values or "empty"
 
-        expected = outcome(lambda: _scan(text, column) or "empty")
+        expected = outcome(lambda: _scan(text, column))
         assert outcome(lambda: read_samples(p, column=column)) == expected
 
     def test_parse_error_with_line_number(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from frechetfit import (
@@ -13,6 +14,7 @@ from frechetfit import (
     gamma_plus_one_taylor,
     log_gamma,
 )
+from frechetfit.special_functions import ZETA
 from oracles import euler_gamma_series, zeta2_series, zeta3_series
 
 
@@ -35,6 +37,13 @@ class TestConstants:
     def test_zeta2_series_oracle(self):
         assert CONSTANTS.pi_sq_over_6 == pytest.approx(zeta2_series(), abs=1e-15)
         assert CONSTANTS.pi_sq_over_6 == math.pi**2 / 6.0
+
+    def test_zeta_tuple_matches_mpmath(self):
+        # each entry is zeta(n) correctly rounded to a double, n = 2..20
+        assert len(ZETA) == 19
+        assert ZETA[:2] == (CONSTANTS.pi_sq_over_6, CONSTANTS.apery)
+        with mp.workdps(40):
+            assert ZETA == tuple(float(mp.zeta(n)) for n in range(2, 21))
 
 
 class TestLaurentCoefficients:
