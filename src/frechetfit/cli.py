@@ -153,9 +153,24 @@ def _cmd_sample(args) -> int:
     params = FrechetParams(args.location, args.scale, args.alpha)
     config = SamplerConfig(seed=args.seed, count=args.count, params=params)
     values = sample(config)
-    write_samples(args.output, values)
+    # before the write: the stats' temporaries then reuse the sample's
+    # freed memory instead of growing the heap the write has filled
     stats = sample_stats(values) if args.count >= 2 else None
-    if stats is not None:
+    write_samples(args.output, values)
+    if args.format == "json":
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "output": args.output,
+            "count": args.count,
+            "seed": args.seed,
+            "location": args.location,
+            "scale": args.scale,
+            "alpha": args.alpha,
+        }
+        for key in ("mean", "variance", "skewness", "excess_kurtosis"):
+            payload[key] = None if stats is None else _json_value(getattr(stats, key))
+        print(json.dumps(payload, indent=2))
+    elif stats is not None:
         print(
             f"wrote {args.count} samples to {args.output}: "
             f"mean {_fmt(stats.mean)}, variance {_fmt(stats.variance)}, "

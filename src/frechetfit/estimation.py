@@ -207,12 +207,20 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
     n = int(x.size)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
-    mean = float(x.mean())
-    d = x - mean
-    d2 = d * d
-    m2 = float(np.mean(d2))
-    m3 = float(np.mean(d2 * d))
-    m4 = float(np.mean(d2 * d2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(x.mean())
+        d = x - mean
+        d2 = d * d
+        m2 = float(np.mean(d2))
+        m3 = float(np.mean(d2 * d))
+        m4 = float(np.mean(d2 * d2))
+    if not (math.isfinite(m2) and math.isfinite(m3) and math.isfinite(m4)):
+        if not np.isfinite(x).all():
+            raise DomainError("the sample holds a nan or infinite value")
+        raise DomainError(
+            "the sample's spread overflows float64: its central moments up to "
+            "order 4 are not all finite"
+        )
     var = m2 * n / (n - 1)
     if m2 > 0.0 and n >= 3:
         skew = (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)

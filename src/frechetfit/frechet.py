@@ -51,6 +51,8 @@ class FrechetParams:
     alpha: float
 
     def __post_init__(self):
+        if not math.isfinite(self.location):
+            raise DomainError(f"location must be finite, got {self.location!r}")
         if not (self.scale > 0.0) or not math.isfinite(self.scale):
             raise DomainError(f"scale must be > 0, got {self.scale!r}")
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):

@@ -41,9 +41,20 @@ def sample(config: SamplerConfig) -> np.ndarray:
     """Draw `count` values via x = m + s * (-ln u)^(-1/alpha), u uniform in (0,1)."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     bits = rng.integers(0, 2**64, size=config.count, dtype=np.uint64)
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    bits >>= np.uint64(11)
+    x = bits.astype(np.float64)
+    del bits
+    # the same operations, in the same order, as the expression in the
+    # docstring, done in place so that only x and the draws are held
+    x += 0.5
+    x *= 2.0**-53
+    np.log(x, out=x)
+    np.negative(x, out=x)
     p = config.params
-    return p.location + p.scale * (-np.log(u)) ** (-1.0 / p.alpha)
+    x **= -1.0 / p.alpha
+    x *= p.scale
+    x += p.location
+    return x
 
 
 def _split(line: str) -> list[str]:
@@ -186,9 +197,147 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     return values
 
 
+# Values per fh.write; a chunk's buffers stay under a megabyte.
+_CHUNK = 1 << 15
+
+_U64 = np.uint64
+_LO32 = _U64(0xFFFF_FFFF)
+_TEN9 = _U64(10**9)
+_TEN16 = _U64(10**16)
+_TEN17 = _U64(10**17)
+# 5^s for the scale 10^s = 5^s * 2^s, s = 16 - E, for every E within one
+# of the exponents [-4, 15] of 1e-4 <= |v| < 1e16
+_POW5 = np.array([5**s for s in range(22)], dtype=np.uint64)
+# column index of the (24, n) line buffer of _format_fixed
+_COLS = np.arange(24, dtype=np.int8)[:, None]
+
+
+def _round_scaled(m: np.ndarray, biased_exp: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """round-half-even(v * 10^(16-E)) for v = m * 2^(biased_exp - 1075), exactly.
+
+    m * 5^s (s = 16 - E <= 21) has at most 102 bits, so it is formed as a
+    128-bit product (H, L) of 32-bit limbs and shifted right by
+    sh = 1075 - biased_exp - s. Every operand is uint64: under numpy 1.x a
+    uint64 mixed with an int64 is promoted to float64.
+    """
+    s = 16 - E
+    sh = 1075 - biased_exp.astype(np.int64) - s
+    # where v * 10^s is an integer (sh <= 0), shift m up so that sh = 1
+    pre = np.maximum(1 - sh, 0)
+    m = m << pre.astype(np.uint64)
+    sh = (sh + pre).astype(np.uint64)
+    p = _POW5[s]
+    ml, mh = m & _LO32, m >> _U64(32)
+    pl, ph = p & _LO32, p >> _U64(32)
+    lo = ml * pl
+    mid = ml * ph + mh * pl
+    t = (lo >> _U64(32)) + (mid & _LO32)
+    L = (lo & _LO32) | (t << _U64(32))
+    H = mh * ph + (mid >> _U64(32)) + (t >> _U64(32))
+    q = (L >> sh) | (H << (_U64(64) - sh))
+    rem = L & ((_U64(1) << sh) - _U64(1))
+    half = _U64(1) << (sh - _U64(1))
+    q += (rem > half) | ((rem == half) & ((q & _U64(1)) == _U64(1)))
+    return q
+
+
+def _exponent_guess(a: np.ndarray) -> np.ndarray:
+    """floor(log10 a) for 1e-4 <= a < 1e16; it may be one off next to a power of ten."""
+    return np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+
+
+def _format_fixed(x: np.ndarray) -> bytes:
+    """format(v, ".17g") + "\n" for each v, all with 1e-4 <= |v| < 1e16.
+
+    In that range ".17g" is positional notation of the 17-digit significand
+    N of v, 10^16 <= N < 10^17, with trailing zeros (and a bare point)
+    stripped. N and the exponent E are computed exactly in integers.
+    """
+    n = x.size
+    bits = x.view(np.uint64)
+    biased_exp = (bits >> _U64(52)) & _U64(0x7FF)
+    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
+    # a guess one too high gives N < 10^16, one too low N >= 10^17 (= 10^17
+    # also where v rounds up to 10^(E+1)); such rows are computed again
+    # with E moved by one
+    E = _exponent_guess(np.abs(x))
+    N = _round_scaled(m, biased_exp, E)
+    off = np.flatnonzero((N < _TEN16) | (N >= _TEN17))
+    if off.size:
+        E[off] += np.where(N[off] >= _TEN17, 1, -1)
+        N[off] = _round_scaled(m[off], biased_exp[off], E[off])
+
+    # rows sorted by E, so that every layout below is one slice
+    E = E.astype(np.int8)
+    order = np.argsort(E, kind="stable")
+    E, N = E[order], N[order]
+
+    # D[j] = digit j of N (most significant first), as ASCII; k = digits
+    # kept after the trailing zeros are stripped
+    D = np.empty((17, n), dtype=np.uint8)
+    k = np.full(n, 17, dtype=np.int8)
+    zeros = np.ones(n, dtype=bool)
+    high = N // _TEN9
+    low = N - high * _TEN9
+    ten = np.uint32(10)
+    # uint32 halves: digits 8..16 from low, then 0..7 from high
+    for w, places in ((low, range(16, 7, -1)), (high, range(7, -1, -1))):
+        w = w.astype(np.uint32)
+        for j in places:
+            q = w // ten
+            D[j] = w - q * ten
+            w = q
+            zeros &= D[j] == 0
+            k -= zeros
+    D += ord("0")
+
+    # line buffer, one column per line: row 0 sign, rows 1..22 text,
+    # row 23 newline; a zero byte is dropped by the final translate
+    T = np.empty((24, n), dtype=np.uint8)
+    width = np.empty(n, dtype=np.int8)
+    starts = np.flatnonzero(np.diff(E)) + 1
+    for a, b in zip([0, *starts.tolist()], [*starts.tolist(), n]):
+        e = int(E[a])
+        kept = k[a:b]
+        if e >= 0:  # d0..de "." d(e+1)..d16
+            T[1:e + 2, a:b] = D[:e + 1, a:b]
+            T[e + 2, a:b] = ord(".")
+            T[e + 3:19, a:b] = D[e + 1:, a:b]
+            width[a:b] = np.where(kept <= e + 1, e + 1, kept + 1)
+        else:  # "0." then -e-1 zeros, then d0..d16
+            T[1, a:b] = ord("0")
+            T[2, a:b] = ord(".")
+            T[3:2 - e, a:b] = ord("0")
+            T[2 - e:19 - e, a:b] = D[:, a:b]
+            width[a:b] = 1 - e + kept
+    T *= _COLS <= width
+    T[0] = np.where(x[order] < 0, ord("-"), 0)
+    T[23] = ord("\n")
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.arange(n)
+    return np.take(T, inverse, axis=1).T.tobytes().translate(None, b"\0")
+
+
+def _format_chunk(x: np.ndarray) -> bytes:
+    a = np.abs(x)
+    if ((a >= 1e-4) & (a < 1e16)).all():
+        return _format_fixed(x)
+    # zero, subnormals and exponent notation: the routine format() uses
+    return (("%.17g\n" * x.size) % tuple(x.tolist())).encode("ascii")
+
+
 def write_samples(path: Union[str, Path], values: Sequence[float]) -> None:
-    """Write one value per line with 17 significant digits (round-trip exact)."""
-    with open(path, "w") as fh:
-        for v in values:
-            fh.write(format(float(v), ".17g"))
-            fh.write("\n")
+    """Write one value per line with 17 significant digits (round-trip exact).
+
+    The file holds exactly the bytes of format(v, ".17g") + "\n" for each
+    value, taken as a float64. A nan or infinite value raises DomainError
+    before the file is opened.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"cannot write non-finite value {float(x[i])!r} at index {i}")
+    with open(path, "wb") as fh:
+        for start in range(0, x.size, _CHUNK):
+            fh.write(_format_chunk(x[start:start + _CHUNK]))

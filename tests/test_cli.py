@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -153,6 +154,68 @@ class TestSample:
                          "--seed", "1", "-o", str(tmp_path / "no" / "dir" / "f.txt"))
         assert code == 4
 
+    def test_file_digest(self, capsys, tmp_path):
+        # SHA-256 of the file the one-format-call-per-value writer made
+        f = tmp_path / "s.txt"
+        code, _, _ = run(capsys, "sample", "--alpha", "5", "--count", "200000",
+                         "--seed", "7", "-o", str(f))
+        assert code == 0
+        digest = hashlib.sha256(f.read_bytes()).hexdigest()
+        assert digest == "867c6ce815280b5d1307871bf8d29bf2f7504c778e090d846bfc6886ab9d6c67"
+
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "0.5", "--scale", "1e308", "--count", "10"),  # overflows to inf
+        ("--alpha", "0.5", "--scale", "1e308", "--count", "1", "--seed", "0"),
+        ("--alpha", "5", "--location", "nan", "--count", "10"),
+        ("--alpha", "5", "--location=-inf", "--count", "10"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_values_are_3_and_write_nothing(self, capsys, tmp_path, argv):
+        f = tmp_path / "f.txt"
+        code, out, err = run(capsys, "sample", *argv, "-o", str(f))
+        assert code == 3, err
+        assert out == "" and err.startswith("error: ")
+        assert not f.exists()
+
+    def test_json_payload(self, capsys, tmp_path):
+        f = tmp_path / "s.txt"
+        code, out, _ = run(capsys, "sample", "--alpha", "5", "-m", "1.5", "-s", "2",
+                           "--count", "1000", "--seed", "4", "-o", str(f), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        values = [float(line) for line in f.read_text().splitlines()]
+        stats = frechetfit.sample_stats(values)
+        assert payload == {
+            "schema_version": 1, "output": str(f), "count": 1000, "seed": 4,
+            "location": 1.5, "scale": 2.0, "alpha": 5.0,
+            "mean": stats.mean, "variance": stats.variance, "skewness": stats.skewness,
+            "excess_kurtosis": stats.excess_kurtosis,
+        }
+
+    @pytest.mark.parametrize("count, undefined", [
+        (1, ["mean", "variance", "skewness", "excess_kurtosis"]),
+        (3, ["excess_kurtosis"]),
+    ])
+    def test_json_payload_small_counts(self, capsys, tmp_path, count, undefined):
+        code, out, _ = run(capsys, "sample", "--alpha", "5", "--count", str(count),
+                           "-o", str(tmp_path / "s.txt"), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == count
+        # null when count is 1; a nan statistic is the string "nan"
+        expected = None if count == 1 else "nan"
+        assert [k for k in ("mean", "variance", "skewness", "excess_kurtosis")
+                if payload[k] == expected] == undefined
+
+    def test_table_line_unchanged(self, capsys, tmp_path):
+        f = tmp_path / "s.txt"
+        _, out, _ = run(capsys, "sample", "--alpha", "5", "--count", "1000", "--seed", "4",
+                        "-o", str(f))
+        stats = frechetfit.sample_stats(frechetfit.read_samples(f))
+        assert out == (f"wrote 1000 samples to {f}: mean {stats.mean:.10g}, "
+                       f"variance {stats.variance:.10g}, skewness {stats.skewness:.10g}, "
+                       f"excess kurtosis {stats.excess_kurtosis:.10g}\n")
+
 
 class TestTables:
     def test_printed_values_reproduce(self, capsys):
@@ -211,6 +274,17 @@ def test_estimate_reads_stdin_pipe():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["sample"]["count"] == 3
+
+
+def test_estimate_overflowing_spread_is_3_without_warnings(tmp_path):
+    f = tmp_path / "big.txt"
+    f.write_text("1e200\n2e200\n3e200\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    argv = [sys.executable, "-m", "frechetfit.cli", "estimate", "--input", str(f)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    assert out.stderr == "error: the sample's spread overflows float64: its central " \
+        "moments up to order 4 are not all finite\n"
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

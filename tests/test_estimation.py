@@ -189,6 +189,16 @@ class TestSampleStats:
         with pytest.raises(InsufficientDataError):
             sample_stats([1.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spread(self):
+        with pytest.raises(DomainError, match="spread overflows float64"):
+            sample_stats([1e200, 2e200, 3e200])
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_value(self):
+        with pytest.raises(DomainError, match="nan or infinite"):
+            sample_stats([1.0, math.inf, 2.0])
+
     def test_seeded_samples_match_table_variance(self):
         n = 100_000
         x = sample(SamplerConfig(seed=1234, count=n, params=FrechetParams(0.0, 1.0, 10.0)))

@@ -38,6 +38,11 @@ class TestTypes:
         with pytest.raises(DomainError):
             FrechetParams(0.0, 1.0, -2.0)
 
+    @pytest.mark.parametrize("location", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite_location(self, location):
+        with pytest.raises(DomainError):
+            FrechetParams(location, 1.0, 2.0)
+
 
 class TestPdf:
     def test_direct_substitution(self):

@@ -1,5 +1,6 @@
 import math
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from frechetfit import (
     write_samples,
 )
 from frechetfit import sampling_io
-from frechetfit.sampling_io import _scan
+from frechetfit.sampling_io import _CHUNK, _scan
 
 
 def config(alpha=5.0, m=0.0, s=1.0, seed=42, count=1000):
@@ -39,6 +40,16 @@ class TestSampler:
     def test_support(self):
         x = sample(config(m=3.0, s=2.0, count=20000))
         assert np.all(x > 3.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.7])
+    def test_matches_expression_bit_for_bit(self, alpha):
+        m, s, count, seed = 0.5, 2.0, 5000, 3
+        rng = np.random.Generator(np.random.PCG64(seed))
+        bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+        u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        expected = m + s * (-np.log(u)) ** (-1.0 / alpha)
+        x = sample(config(alpha=alpha, m=m, s=s, seed=seed, count=count))
+        assert x.tobytes() == expected.tobytes()
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
@@ -252,3 +263,106 @@ class TestWriteReadRoundTrip:
             p.write_text("value\n" + p.read_text())
         back = np.asarray(read_samples(p, column="value" if header else None))
         assert back.tobytes() == x.tobytes()
+
+
+def dot17g(values) -> bytes:
+    """The reference: one format(v, ".17g") line per value."""
+    return "".join(format(float(v), ".17g") + "\n" for v in values).encode()
+
+
+def written(tmp_path, values) -> bytes:
+    p = tmp_path / "w.txt"
+    write_samples(p, values)
+    return p.read_bytes()
+
+
+TINY_NORMAL = float(np.finfo(np.float64).tiny)
+
+
+def neighbours(v, steps=2):
+    """v and its nearest `steps` doubles on either side."""
+    out = [v]
+    for direction in (-math.inf, math.inf):
+        w = v
+        for _ in range(steps):
+            w = math.nextafter(w, direction)
+            out.append(w)
+    return out
+
+
+# 17-digit positional values: around every power of ten in the range, where
+# the floor(log10) estimate of the exponent is off by one, and dyadic ties
+# that round half to even at the 17th digit
+POSITIONAL = sorted(
+    {v for k in range(-4, 17) for v in neighbours(10.0**k) if 1e-4 <= v < 1e16}
+    | {1 + 2.0**-17, 1 + 3 * 2.0**-17, 0.5 + 2.0**-18, 2.0**53 - 1, 2.0**53, 2.0**53 + 1,
+       2.0**53 + 2, 0.1, 0.3, 1.0, 123.456, 9007199254740993.0 / 3}
+)
+# everything else goes through the exponent-notation fallback
+FALLBACK = [0.0, -0.0, 5e-324, -5e-324, TINY_NORMAL, math.nextafter(TINY_NORMAL, 0.0),
+            math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, math.inf), 1e300,
+            -1.7976931348623157e308, 1e22, 1e-100]
+
+
+class TestWriteSamples:
+    @pytest.mark.parametrize("v", POSITIONAL + [-v for v in POSITIONAL] + FALLBACK)
+    def test_single_value(self, tmp_path, v):
+        assert written(tmp_path, [v]) == dot17g([v])
+
+    def test_positional_values_together(self, tmp_path):
+        x = np.array(POSITIONAL + [-v for v in POSITIONAL])
+        assert written(tmp_path, x) == dot17g(x)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_exponent_guess_one_off(self, tmp_path, monkeypatch, delta):
+        # with the guess one off, every row takes the corrected second pass,
+        # including exact powers of ten, whose guess one too low gives N = 10^17
+        def guess(a):
+            exact = [Decimal(v).adjusted() for v in a.tolist()]  # floor(log10 v)
+            return np.array(exact, dtype=np.int64) + delta
+
+        monkeypatch.setattr(sampling_io, "_exponent_guess", guess)
+        x = np.array(POSITIONAL + [-v for v in POSITIONAL])
+        assert written(tmp_path, x) == dot17g(x)
+
+    def test_chunk_mixing_positional_and_fallback_values(self, tmp_path):
+        x = np.array(POSITIONAL + FALLBACK + POSITIONAL[::-1])
+        assert written(tmp_path, x) == dot17g(x)
+
+    def test_list_and_float32_input(self, tmp_path):
+        assert written(tmp_path, [1, 0.1, -2.5, 3e-5]) == dot17g([1, 0.1, -2.5, 3e-5])
+        x = np.array([0.1, 1.5, 3.3e-5, 7e20], dtype=np.float32)
+        assert written(tmp_path, x) == dot17g(x.astype(np.float64))
+
+    def test_three_chunks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 2 * _CHUNK + 123
+        x = np.clip(10.0 ** rng.uniform(-4, 16, n), 1e-4, 9e15) * rng.choice([-1.0, 1.0], n)
+        x[_CHUNK + 7] = 0.0  # the middle chunk goes through the fallback
+        assert written(tmp_path, x) == dot17g(x)
+
+    def test_empty(self, tmp_path):
+        assert written(tmp_path, []) == b""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_before_open(self, tmp_path, bad):
+        p = tmp_path / "bad.txt"
+        with pytest.raises(DomainError, match="index 2"):
+            write_samples(p, [1.0, 2.0, bad, 3.0])
+        assert not p.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, st.integers(1, 100), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_matches_format_property(self, tmp_path_factory, x):
+        assert written(tmp_path_factory.mktemp("w"), x) == dot17g(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=arrays(
+            np.float64,
+            st.integers(1, 100),
+            elements=st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True),
+        )
+    )
+    def test_matches_format_property_positional(self, tmp_path_factory, x):
+        assert written(tmp_path_factory.mktemp("w"), x) == dot17g(x)
