@@ -237,9 +237,17 @@ def _cmd_check(args) -> int:
 
     grid = args.alpha_grid if args.alpha_grid else None
     results = run_checks(grid)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name}: measured {r.measured:.3e} (bound {r.bound:.3e})")
+    if args.format == "json":
+        checks = [
+            {"name": r.name, "measured": _json_value(r.measured),
+             "bound": _json_value(r.bound), "passed": r.passed}
+            for r in results
+        ]
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "checks": checks}, indent=2))
+    else:
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{status}  {r.name}: measured {r.measured:.3e} (bound {r.bound:.3e})")
     for i, r in enumerate(results):
         if not r.passed:
             return i + 1

@@ -39,6 +39,7 @@ __all__ = [
 
 _ALPHA_MIN = 2.0 + 1e-9
 _ALPHA_MAX = 1e9
+_SKEWNESS_LIMIT = 12.0 * math.sqrt(6.0) * CONSTANTS.apery / math.pi**3
 
 
 class Method(enum.Enum):
@@ -238,11 +239,11 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
 def fit_location_scale(stats: SampleStats) -> FrechetParams:
     """Moment-matching fit: alpha from skewness, then scale and location.
 
-    The analytic skewness depends on alpha alone and decreases strictly on
-    (3, inf) towards ~1.1395, so a sample skewness below that limit (or
-    non-positive variance/skewness) cannot be matched.  `_root` solves
-    1/skewness(1/u) = 1/skewness_sample in u = 1/alpha, where both sides are
-    bounded.
+    The analytic skewness depends on alpha alone and falls strictly on (3, inf)
+    towards s_inf ~ 1.1395471 as about s_inf + 5.97/alpha, so a float64 sample
+    skewness still pins alpha = 1e8 to about 1e-8.  `_root` solves
+    1/skewness(1/u) = 1/s in u = 1/alpha for alpha in [3 + 1e-9, 1e9], where
+    both sides are bounded; a skewness it cannot match raises DegenerateFitError.
     """
     if stats.count < 3:
         raise InsufficientDataError(f"need at least 3 values, got {stats.count}")
@@ -251,25 +252,16 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     if not (stats.skewness > 0.0) or not math.isfinite(stats.skewness):
         raise DegenerateFitError("sample skewness must be positive and finite")
 
-    # Above alpha ~ 1e4 the gap between skewness(alpha) and its alpha->inf
-    # limit (~1.1395) drops below what 64-bit lgamma can resolve, so shapes
-    # beyond that cannot be told apart by moment matching in doubles.
-    lo, hi = 3.0 + 1e-9, 1e4
     target = 1.0 / stats.skewness
-    # skewness carries rounding noise of its own here, so no residual test:
-    # the solve runs until the bracket is a few ulps wide
-    root = _root(
-        lambda u: 1.0 / skewness(FrechetShape(1.0 / u)) - target, 1.0 / hi, 1.0 / lo, 0.0, 200
-    )
+    f = lambda u: 1.0 / skewness(FrechetShape(1.0 / u)) - target
+    root = _root(f, 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9), math.ulp(target), 200)
     if root is None:
-        if skewness(FrechetShape(hi)) > stats.skewness:
+        if stats.skewness < skewness(FrechetShape(_ALPHA_MAX)):
             raise DegenerateFitError(
-                f"sample skewness {stats.skewness} is at or below the resolvable "
-                f"range (alpha would exceed {hi:g})"
+                f"sample skewness {stats.skewness} needs alpha > {_ALPHA_MAX:g}: it is at or "
+                f"near the alpha -> inf limit 12*sqrt(6)*zeta(3)/pi^3 = {_SKEWNESS_LIMIT:.7f}"
             )
-        raise DegenerateFitError(
-            f"sample skewness {stats.skewness} requires alpha <= 3"
-        )
+        raise DegenerateFitError(f"sample skewness {stats.skewness} requires alpha <= 3")
     alpha = 1.0 / root[0]
     scale = math.sqrt(stats.variance / shape_variance(alpha))
     location = stats.mean - scale * raw_moment(FrechetShape(alpha), 1)

@@ -1,11 +1,12 @@
 """Frechet distribution: pdf/cdf/quantile and raw/centered/normalized moments.
 
 Raw moments of the one-parameter form are Omega_k = Gamma(1 - k/alpha),
-defined only for k < alpha.  Centered moments come from the binomial
-expansion in the Omega_k; normalized centered moments divide by
-variance^(k/2) and additionally need alpha > 2.
+defined only for k < alpha.  A centered moment of order k (k = 2: the
+variance) is one power series in u = 1/alpha for alpha >= 2k and the binomial
+expansion in the Omega_p below; normalized ones need alpha > 2 as well.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -67,8 +68,8 @@ class FrechetParams:
 class MomentReport:
     """Moments of one order: raw, centered, normalized, with definedness flag.
 
-    `raw`/`centered` are None when k >= alpha; `normalized` additionally
-    requires alpha > 2 (and is None for k = 1, where it is not defined).
+    `raw`/`centered` are None when k >= alpha; `normalized` is None exactly
+    when `centered` is (k >= 2 and k < alpha already imply alpha > 2).
     """
 
     order: int
@@ -101,14 +102,53 @@ def quantile(d: FrechetParams, p: float) -> float:
     return d.location + d.scale * (-math.log(p)) ** (-1.0 / d.alpha)
 
 
-def _omega(alpha: float, k: int) -> float:
-    # Omega_k = Gamma(1 - k/alpha).  Route through exp(lgamma) when the
-    # argument is comfortably positive: near 1 the log form avoids losing
-    # accuracy once these near-unit values get differenced at large alpha.
-    z = 1.0 - k / alpha
-    if z > 0.5:
-        return math.exp(log_gamma(z))
-    return gamma(z)
+_TERMS = 64
+# Cancellation in a table grows with its order (about 1e-6 at order 20) and it
+# overflows float64 from order 92, so higher orders take the binomial sum.
+_MAX_SERIES_ORDER = 20
+
+
+@functools.lru_cache(maxsize=None)
+def _series(k: int) -> tuple:
+    """Coefficients of S_k(u) = E[(X/Omega_1 - 1)^k] / u^k in u = 1/alpha, highest first.
+
+    Omega_j / Omega_1^j = exp(sum_{n>=2} zeta(n) (j^n - j) u^n / n) (DLMF 5.7.3),
+    exponentiated by the J.C.P. Miller recurrence; the weights C(k,j) (-1)^(k-j)
+    cancel every power below u^k exactly, so those are dropped, not summed.
+    """
+    top = k + _TERMS - 1
+    zeta = ZETA + tuple(1.0 + 2.0**-n + 3.0**-n + 4.0**-n + 5.0**-n for n in range(21, top + 1))
+    total = [0.0] * (top + 1)
+    for j in range(2, k + 1):  # j = 0, 1 add only to the dropped u^0 term
+        a = [0.0, 0.0] + [z * (j**n - j) / n for n, z in enumerate(zeta, start=2)]
+        b = [1.0] + [0.0] * top
+        for m in range(2, top + 1):
+            b[m] = sum(i * a[i] * b[m - i] for i in range(2, m + 1)) / m
+        for m in range(k, top + 1):
+            total[m] += math.comb(k, j) * (-1) ** (k - j) * b[m]
+    return tuple(reversed(total[k:]))
+
+
+def _kernel(k: int, u: float) -> float:
+    """S_k(u) for k u <= 1/2 (so at most 56 terms), summed over only the terms u needs."""
+    s = 0.0
+    for c in _series(k)[_TERMS - 2 - int(37.5 / -math.log(k * u)):]:
+        s = s * u + c
+    return s
+
+
+def _centered(alpha: float, k: int) -> float:
+    # below alpha = 2k the series converges slowly or not at all
+    if alpha >= 2 * k and k <= _MAX_SERIES_ORDER:
+        u = 1.0 / alpha
+        return math.exp(k * log_gamma(1.0 - u)) * u**k * _kernel(k, u)
+    omega1 = gamma(1.0 - 1.0 / alpha)
+    total = 0.0
+    for p in range(k + 1):
+        omega_p = 1.0 if p == 0 else gamma(1.0 - p / alpha)
+        term = math.comb(k, p) * omega1 ** (k - p) * omega_p
+        total += term if (k - p) % 2 == 0 else -term
+    return total
 
 
 def raw_moment(d: FrechetShape, k: int) -> float:
@@ -119,49 +159,27 @@ def raw_moment(d: FrechetShape, k: int) -> float:
         raise UndefinedMomentError(
             f"raw moment of order {k} diverges for alpha = {d.alpha} (needs k < alpha)"
         )
-    return _omega(d.alpha, k)
+    return gamma(1.0 - k / d.alpha)
 
 
 def centered_moment(d: FrechetShape, k: int) -> float:
-    """k-th centered moment via the binomial expansion in the raw moments."""
+    """k-th centered moment: the series kernel for alpha >= 2k, else the binomial sum."""
     if k < 2:
         raise DomainError(f"centered moment order must be >= 2, got {k!r}")
     if k >= d.alpha:
         raise UndefinedMomentError(
             f"centered moment of order {k} diverges for alpha = {d.alpha}"
         )
-    if k == 2:
-        return shape_variance(d.alpha)
-    omega1 = _omega(d.alpha, 1)
-    total = 0.0
-    for p in range(k + 1):
-        omega_p = 1.0 if p == 0 else _omega(d.alpha, p)
-        term = math.comb(k, p) * omega1 ** (k - p) * omega_p
-        total += term if (k - p) % 2 == 0 else -term
-    return total
-
-
-# ln Omega_2 - 2 ln Omega_1 = sum_{n>=2} zeta(n) (2^n - 2) u^n / n in u = 1/alpha:
-# the Euler-gamma terms of the two pole series cancel exactly and every term
-# left is positive.  Highest power first, for Horner.
-_LOG_VARIANCE_RATIO = tuple(
-    z * (2**n - 2) / n for n, z in reversed(list(enumerate(ZETA, start=2)))
-)
+    return _centered(d.alpha, k)
 
 
 def shape_variance(alpha: float) -> float:
     """Omega_2 - Omega_1^2 for the one-parameter distribution (alpha > 2)."""
     if alpha <= 2.0:
         raise UndefinedMomentError(f"variance diverges for alpha = {alpha} <= 2")
-    if alpha >= 20.0:
-        # Omega_1^2 * expm1(ln Omega_2 - 2 ln Omega_1), the exponent summed
-        # without cancellation; the first omitted term is below 1e-20 of it.
-        u = 1.0 / alpha
-        series = 0.0
-        for c in _LOG_VARIANCE_RATIO:
-            series = series * u + c
-        return math.exp(2.0 * log_gamma(1.0 - u)) * math.expm1(series * u * u)
-    return _omega(alpha, 2) - _omega(alpha, 1) ** 2
+    if not math.isfinite(alpha):
+        raise DomainError(f"shape parameter must be finite, got {alpha!r}")
+    return _centered(alpha, 2)
 
 
 def variance(d: FrechetParams) -> float:
@@ -170,28 +188,23 @@ def variance(d: FrechetParams) -> float:
 
 
 def normalized_centered_moment(d: FrechetShape, k: int) -> float:
-    """Centered moment of order k divided by variance^(k/2)."""
+    """Centered moment of order k divided by variance^(k/2); S_k / S_2^(k/2) for alpha >= 2k."""
     if k < 2:
         raise DomainError(f"normalized moment order must be >= 2, got {k!r}")
     if d.alpha <= 2.0 or k >= d.alpha:
         raise UndefinedMomentError(
             f"normalized centered moment of order {k} undefined for alpha = {d.alpha}"
         )
-    return centered_moment(d, k) / shape_variance(d.alpha) ** (k / 2.0)
+    if d.alpha >= 2 * k and k <= _MAX_SERIES_ORDER:
+        u = 1.0 / d.alpha
+        return _kernel(k, u) / _kernel(2, u) ** (k / 2.0)
+    return _centered(d.alpha, k) / shape_variance(d.alpha) ** (k / 2.0)
 
 
 def skewness(d: FrechetShape) -> float:
     """Normalized third centered moment for alpha > 3, +inf otherwise."""
     if d.alpha <= 3.0:
         return math.inf
-    if d.alpha > 50.0:
-        # binomial expansion loses all digits once the Omega_k cluster at 1;
-        # factoring out Omega_1^3 gives an expm1 form that stays accurate
-        # (same reasoning as the stabilized variance)
-        l1 = log_gamma(1.0 - 1.0 / d.alpha)
-        a = log_gamma(1.0 - 3.0 / d.alpha) - 3.0 * l1
-        b = log_gamma(1.0 - 2.0 / d.alpha) - 2.0 * l1
-        return (math.expm1(a) - 3.0 * math.expm1(b)) / math.expm1(b) ** 1.5
     return normalized_centered_moment(d, 3)
 
 
@@ -199,19 +212,13 @@ def excess_kurtosis(d: FrechetShape) -> float:
     """Kurtosis minus 3 for alpha > 4, +inf otherwise."""
     if d.alpha <= 4.0:
         return math.inf
-    o1 = _omega(d.alpha, 1)
-    o2 = _omega(d.alpha, 2)
-    o3 = _omega(d.alpha, 3)
-    o4 = _omega(d.alpha, 4)
-    return -6.0 + (o4 - 4.0 * o3 * o1 + 3.0 * o2**2) / shape_variance(d.alpha) ** 2
+    return normalized_centered_moment(d, 4) - 3.0
 
 
 def moment_report(d: FrechetShape, k: int) -> MomentReport:
     """Build the raw/centered/normalized report for one order, never raising."""
     defined = k < d.alpha
-    raw = _omega(d.alpha, k) if defined else None
+    raw = gamma(1.0 - k / d.alpha) if defined else None
     centered = centered_moment(d, k) if defined and k >= 2 else None
-    normalized = None
-    if defined and k >= 2 and d.alpha > 2.0:
-        normalized = normalized_centered_moment(d, k)
+    normalized = normalized_centered_moment(d, k) if centered is not None else None
     return MomentReport(order=k, raw=raw, centered=centered, normalized=normalized, defined=defined)

@@ -38,7 +38,10 @@ class SamplerConfig:
 
 
 def sample(config: SamplerConfig) -> np.ndarray:
-    """Draw `count` values via x = m + s * (-ln u)^(-1/alpha), u uniform in (0,1)."""
+    """Draw `count` values via x = m + s * (-ln u)^(-1/alpha), u uniform in (0,1).
+
+    Raises DomainError, with no numpy warning, when a draw overflows float64.
+    """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     bits = rng.integers(0, 2**64, size=config.count, dtype=np.uint64)
     bits >>= np.uint64(11)
@@ -51,9 +54,15 @@ def sample(config: SamplerConfig) -> np.ndarray:
     np.log(x, out=x)
     np.negative(x, out=x)
     p = config.params
-    x **= -1.0 / p.alpha
-    x *= p.scale
-    x += p.location
+    with np.errstate(over="ignore", invalid="ignore"):
+        x **= -1.0 / p.alpha
+        x *= p.scale
+        x += p.location
+    if not np.isfinite(x).all():
+        raise DomainError(
+            f"the sample overflows float64: location {p.location!r}, scale {p.scale!r} "
+            f"and alpha {p.alpha!r} give draws that are not all finite"
+        )
     return x
 
 

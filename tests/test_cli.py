@@ -105,6 +105,20 @@ class TestMoments:
                 assert v is None or isinstance(v, str) or math.isfinite(v)
         assert payload["skewness"] == "inf"
 
+    def test_high_orders_run(self, capsys):
+        code, out, _ = run(capsys, "moments", "--alpha", "1000", "--max-order", "100",
+                           "--format", "json")
+        assert code == 0
+        assert [m["order"] for m in json.loads(out)["moments"]] == list(range(1, 101))
+
+    def test_json_large_alpha_near_the_gumbel_limits(self, capsys):
+        # alpha -> inf limits: skewness 1.1395471, excess kurtosis 2.4
+        code, out, _ = run(capsys, "moments", "--alpha", "1e5", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["skewness"] == pytest.approx(1.13961, abs=5e-6)
+        assert payload["excess_kurtosis"] == pytest.approx(2.40029, abs=5e-6)
+
 
 class TestEstimate:
     def test_method_all_table_row(self, capsys):
@@ -169,7 +183,7 @@ class TestSample:
         ("--alpha", "5", "--location", "nan", "--count", "10"),
         ("--alpha", "5", "--location=-inf", "--count", "10"),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_values_are_3_and_write_nothing(self, capsys, tmp_path, argv):
         f = tmp_path / "f.txt"
         code, out, err = run(capsys, "sample", *argv, "-o", str(f))
@@ -251,6 +265,29 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--alpha-grid", "5")
         assert code == 0
 
+    def test_json_clean_build(self, capsys):
+        code, out, _ = run(capsys, "check", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["schema_version"] == 1
+        assert [c["name"] for c in payload["checks"]] == [
+            "pdf-normalization", "moment-oracle", "laurent-remainder-order",
+            "cdf-quantile-round-trip",
+        ]
+        for c in payload["checks"]:
+            assert c["passed"] is True
+            assert 0.0 <= c["measured"] <= c["bound"]
+
+    def test_json_mutation_flipped_c2(self, capsys, monkeypatch):
+        corrupted = LaurentCoefficients(
+            c_minus1=sf.LAURENT.c_minus1, c0=sf.LAURENT.c0, c1=sf.LAURENT.c1, c2=-sf.LAURENT.c2,
+        )
+        monkeypatch.setattr(sf, "LAURENT", corrupted)
+        code, out, _ = run(capsys, "check", "--format", "json")
+        checks = json.loads(out)["checks"]
+        assert [c["passed"] for c in checks] == [True, True, False, True]
+        assert code == 3  # 1-based index of the first failed check
+
     def test_mutation_sanity_flipped_c2(self, capsys, monkeypatch):
         # flipping the sign of the z^2 coefficient must trip the
         # remainder-order check and give a nonzero exit
@@ -285,6 +322,28 @@ def test_estimate_overflowing_spread_is_3_without_warnings(tmp_path):
     assert out.returncode == 3
     assert out.stderr == "error: the sample's spread overflows float64: its central " \
         "moments up to order 4 are not all finite\n"
+
+
+def test_sample_overflow_stderr_is_one_error_line(tmp_path):
+    f = tmp_path / "f.txt"
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    argv = [sys.executable, "-m", "frechetfit.cli", "sample", "--alpha", "0.5",
+            "--scale", "1e308", "--count", "10", "-o", str(f)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert not f.exists()
+
+
+def test_cli_import_builds_no_moment_series():
+    # the series coefficients are built on first use, so start-up pays nothing
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    code = "import frechetfit.cli, frechetfit.frechet as f; print(f._series.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "0\n"
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -261,6 +261,21 @@ class TestFitLocationScale:
         with pytest.raises(DegenerateFitError):
             fit_location_scale(stats)
 
+    @settings(max_examples=200, deadline=None)
+    @given(log_alpha=st.floats(math.log(3.01), math.log(1e8)))
+    def test_exact_moments_recover_alpha(self, log_alpha):
+        alpha = math.exp(log_alpha)
+        shape = FrechetShape(alpha)
+        stats = SampleStats(count=1000, mean=raw_moment(shape, 1), variance=shape_variance(alpha),
+                            skewness=skewness(shape), excess_kurtosis=0.0)
+        assert fit_location_scale(stats).alpha == pytest.approx(alpha, rel=1e-6)
+
+    def test_skewness_below_the_limit_names_it(self):
+        # s_inf = 12 sqrt(6) zeta(3) / pi^3 = 1.13954709...
+        stats = SampleStats(count=100, mean=0.0, variance=1.0, skewness=1.1395, excess_kurtosis=0.0)
+        with pytest.raises(DegenerateFitError, match=r"12\*sqrt\(6\)\*zeta\(3\)/pi\^3 = 1\.1395471"):
+            fit_location_scale(stats)
+
     def test_rejects_nonpositive_skewness(self):
         stats = SampleStats(count=100, mean=0.0, variance=1.0, skewness=-1.0, excess_kurtosis=0.0)
         with pytest.raises(DegenerateFitError):

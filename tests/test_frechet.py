@@ -252,6 +252,11 @@ class TestVariance:
         with pytest.raises(UndefinedMomentError):
             variance(FrechetParams(0.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_shape_variance_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(DomainError):
+            shape_variance(alpha)
+
     def test_monotone_decrease_to_zero(self):
         vals = [shape_variance(a) for a in (3.0, 5.0, 10.0, 50.0, 100.0, 1000.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -272,6 +277,57 @@ class TestVariance:
                 u = 1 / mp.mpf(alpha)
                 ref = mp.gamma(1 - 2 * u) - mp.gamma(1 - u) ** 2
                 assert abs(shape_variance(alpha) - ref) <= 1e-12 * ref, alpha
+
+
+def _kernel_grid(k):
+    # log-spaced from just above the existence threshold to 1e8, plus the
+    # switch between the Gamma path and the series at alpha = 2k from both sides
+    lo = k + 0.01
+    alphas = [lo * (1e8 / lo) ** (i / 60) for i in range(61)]
+    return alphas + [math.nextafter(2.0 * k, 0.0), 2.0 * k, math.nextafter(2.0 * k, math.inf),
+                     2.0 * k + 1e-9, 2.0 * k + 0.5]
+
+
+class TestSeriesKernel:
+    @staticmethod
+    def reference(alpha, k):
+        # the binomial sum cancels about 8k digits at alpha = 1e8
+        with mp.workdps(30 + 8 * k):
+            a = mp.mpf(alpha)
+            om = [mp.gamma(1 - p / a) for p in range(k + 1)]
+            mu = lambda q: sum(mp.binomial(q, p) * (-om[1]) ** (q - p) * om[p] for p in range(q + 1))
+            return mu(k), mu(k) / mu(2) ** (mp.mpf(k) / 2)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_twelve_digits_against_mpmath(self, k):
+        for alpha in _kernel_grid(k):
+            shape = FrechetShape(alpha)
+            centered, normalized = self.reference(alpha, k)
+            assert abs(centered_moment(shape, k) - centered) <= 1e-12 * abs(centered), alpha
+            got = normalized_centered_moment(shape, k)
+            assert abs(got - normalized) <= 1e-12 * abs(normalized), alpha
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_higher_orders_on_the_series_side(self, k):
+        # measured worst 1.1e-13 (k = 7); below alpha = 2k the binomial sum
+        # loses more (up to 3.7e-10 for k = 8) and is not gated here
+        for alpha in (2.0 * k * (1e8 / (2.0 * k)) ** (i / 20) for i in range(21)):
+            _, normalized = self.reference(alpha, k)
+            got = normalized_centered_moment(FrechetShape(alpha), k)
+            assert abs(got - normalized) <= 1e-11 * abs(normalized), alpha
+
+    def test_skewness_and_kurtosis_are_the_normalized_moments(self):
+        for alpha in (3.5, 5.0, 8.0, 1e3, 1e8):
+            shape = FrechetShape(alpha)
+            assert skewness(shape) == normalized_centered_moment(shape, 3)
+            if alpha > 4.0:
+                assert excess_kurtosis(shape) == normalized_centered_moment(shape, 4) - 3.0
+
+    def test_skewness_is_real_up_to_1e8(self):
+        got = skewness(FrechetShape(1e8))
+        assert type(got) is float
+        limit = 12.0 * math.sqrt(6.0) * float(mp.zeta(3)) / math.pi**3
+        assert 0.0 < got - limit < 1e-7
 
 
 class TestMomentReport:

@@ -55,6 +55,12 @@ class TestSampler:
         with pytest.raises(DomainError):
             config(count=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,m,s", [(0.5, 0.0, 1e308), (0.001, 0.0, 1.0), (5.0, 1e308, 1e308)])
+    def test_overflow_is_domain_error_without_warnings(self, alpha, m, s):
+        with pytest.raises(DomainError, match="overflows float64"):
+            sample(config(alpha=alpha, m=m, s=s, count=100))
+
     def test_empirical_cdf_at_median(self):
         d = FrechetParams(0.0, 1.0, 2.0)
         x = sample(SamplerConfig(seed=11, count=100_000, params=d))
