@@ -12,6 +12,7 @@ from .errors import (
     NoConvergenceError,
     ParseError,
     PoleError,
+    PrecisionLossError,
     UndefinedMomentError,
 )
 from .estimation import (
@@ -57,7 +58,7 @@ __all__ = [
     "__version__",
     "FrechetFitError", "DomainError", "PoleError", "GammaRangeError",
     "UndefinedMomentError", "NoConvergenceError", "DegenerateFitError",
-    "InsufficientDataError", "ParseError", "EmptyInputError",
+    "InsufficientDataError", "ParseError", "EmptyInputError", "PrecisionLossError",
     "MathConstants", "LaurentCoefficients", "CONSTANTS", "LAURENT",
     "gamma", "log_gamma", "gamma_laurent", "gamma_plus_one_taylor",
     "FrechetShape", "FrechetParams", "MomentReport",

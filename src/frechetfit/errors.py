@@ -21,6 +21,10 @@ class UndefinedMomentError(FrechetFitError, ValueError):
     """A moment of order k was requested where it diverges (k >= alpha)."""
 
 
+class PrecisionLossError(FrechetFitError):
+    """Cancellation in float64 leaves a computed value without reliable digits."""
+
+
 class NoConvergenceError(FrechetFitError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 

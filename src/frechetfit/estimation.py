@@ -6,12 +6,13 @@ Three estimators of increasing fidelity:
   in powers of 1/alpha;
 * order 2: the unique positive root of the cubic
   (pi^2/6) u^2 + ((gamma*pi^2 + 6 zeta(3))/3) u^3 = V in u = 1/alpha,
-  solved in closed form (Cardano / trigonometric) plus a short Newton polish;
+  in closed form (trigonometric / Cardano) plus one Newton polish;
 * exact: ln(Gamma(1-2/alpha) - Gamma(1-1/alpha)^2) = ln V solved in
-  t = ln alpha by an Illinois iteration on a fixed bracket.
+  t = ln alpha, seeded with the order-2 root, which bounds it from below.
 
-The same root finder, `_root`, solves the skewness equation in
-`fit_location_scale`.
+One root finder, `_root`, solves both inverse problems: it turns a seed and a
+closed-form bound into a bracket, then runs the Illinois iteration in it.
+`fit_location_scale` seeds it from the skewness asymptote s_inf + C1/alpha.
 """
 
 import enum
@@ -22,7 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, InsufficientDataError, NoConvergenceError
-from .frechet import FrechetParams, FrechetShape, raw_moment, shape_variance, skewness
+from .frechet import (
+    FrechetParams,
+    FrechetShape,
+    _centered,
+    _normalized,
+    _skewness_slope,
+    raw_moment,
+    shape_variance,
+    skewness,
+)
 from .special_functions import CONSTANTS
 
 __all__ = [
@@ -64,6 +74,9 @@ class CubicCoefficients:
     a2: float = CONSTANTS.pi_sq_over_6
 
 
+_CUBIC = CubicCoefficients()
+
+
 @dataclass(frozen=True)
 class SampleStats:
     """Empirical moments: unbiased variance, bias-adjusted skewness/kurtosis.
@@ -96,72 +109,79 @@ def alpha_order1(v: float) -> EstimateResult:
     return EstimateResult(alpha, Method.ORDER1, _variance_residual(alpha, v), 0)
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def _positive_cubic_root(a3: float, a2: float, v: float) -> float:
-    # Unique positive root of a3 u^3 + a2 u^2 - v = 0 (the polynomial is
-    # -v at u=0 and strictly increasing for u > 0).
-    b = a2 / a3
-    d = -v / a3
-    # depressed form t^3 + p t + q with u = t - b/3
-    p = -b * b / 3.0
-    q = 2.0 * b**3 / 27.0 + d
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        t = _cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s)
-        roots = [t - b / 3.0]
+    """Unique positive root u of a3 u^3 + a2 u^2 = v, for a3, a2, v > 0.
+
+    In alpha = 1/u = sqrt(a2 / (3 v)) * y the cubic is y^3 - 3 y = 2 r with
+    r = a3 sqrt(27 v / a2^3) / 2, and u is given by its largest root: the
+    trigonometric form for r <= 1, Cardano's for r > 1.  Neither subtracts
+    nearly equal numbers or overflows, so every v > 0 keeps full precision.
+    """
+    root_v = math.sqrt(v)
+    r = 0.5 * a3 * math.sqrt(27.0 / a2**3) * root_v
+    if r <= 1.0:
+        y = 2.0 * math.cos(math.acos(r) / 3.0)
     else:
-        # three real roots; trigonometric form
-        r = 2.0 * math.sqrt(-p / 3.0)
-        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
-        roots = [
-            r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - b / 3.0 for k in range(3)
-        ]
-    positive = [u for u in roots if u > 0.0]
-    u = max(positive)
-    # Newton polish removes closed-form rounding; two steps suffice.
-    for _ in range(2):
-        f = a3 * u**3 + a2 * u**2 - v
-        df = 3.0 * a3 * u**2 + 2.0 * a2 * u
-        u -= f / df
-    return u
+        z = (r + math.sqrt(r - 1.0) * math.sqrt(r + 1.0)) ** (1.0 / 3.0)
+        y = z + 1.0 / z
+    # one Newton step removes the closed form's rounding (y >= sqrt(3))
+    y -= (y * y * y - 3.0 * y - 2.0 * r) / (3.0 * y * y - 3.0)
+    return math.sqrt(3.0 / a2) * root_v / y
 
 
 def alpha_order2(v: float) -> EstimateResult:
-    """Analytic (Cardano) solution of the order-2 variance expansion."""
+    """Closed-form (trigonometric / Cardano) root of the order-2 variance expansion."""
     if not (v > 0.0) or not math.isfinite(v):
         raise DomainError(f"variance must be > 0, got {v!r}")
-    coeffs = CubicCoefficients()
-    u = _positive_cubic_root(coeffs.a3, coeffs.a2, v)
+    u = _positive_cubic_root(_CUBIC.a3, _CUBIC.a2, v)
     alpha = 1.0 / u
     return EstimateResult(alpha, Method.ORDER2_CARDANO, _variance_residual(alpha, v), 0)
 
 
-def _root(f, lo: float, hi: float, ftol: float, max_iter: int):
-    """Root of f on [lo, hi] by the Illinois (modified regula falsi) method.
+def _root(f, x0: float, far, lo: float, hi: float, ftol: float, max_iter: int):
+    """Root of a decreasing f on [lo, hi], searched from a seed x0.
 
-    Returns (x, f(x), iterations) once |f(x)| <= ftol or the bracket is a few
-    ulps wide, and None when f(lo) and f(hi) have the same sign.  Halving the
+    The sign of f(x0) tells on which side of x0 the root lies, and
+    far(x0, f(x0)) names a point past it on that side.  Both points are
+    clamped to [lo, hi]; if the far point falls short of the root, the bracket
+    runs from it to the end of [lo, hi] on that side instead.  Inside the
+    bracket the Illinois (modified regula falsi) method takes over: halving the
     value kept at an end that survives two steps in a row stops regula falsi
     from stalling on one side, so convergence is superlinear.
+
+    Returns (x, f(x), evaluations of f) once |f(x)| <= ftol or the bracket is
+    a few ulps wide, and None when f has no root in [lo, hi].  No point is
+    evaluated twice, so a seed within ftol of the root costs one evaluation
+    and a proven bracket two.
     """
-    flo, fhi = f(lo), f(hi)
-    for x, fx in ((lo, flo), (hi, fhi)):
-        if abs(fx) <= ftol:
-            return x, fx, 0
-    if (flo < 0.0) == (fhi < 0.0):
-        return None
+    a = min(max(x0, lo), hi)
+    fa = f(a)
+    evaluations = 1
+    # step from the seed to the far point, then on to the end of [lo, hi]
+    for b in (far(a, fa), hi if fa > 0.0 else lo):
+        if abs(fa) <= ftol:
+            return a, fa, evaluations
+        b = min(max(b, lo), hi)
+        if b != a:
+            fb = f(b)
+            evaluations += 1
+            if (fb < 0.0) != (fa < 0.0):
+                break
+            a, fa = b, fb
+    else:
+        return (a, fa, evaluations) if abs(fa) <= ftol else None
+    if abs(fb) <= ftol:
+        return b, fb, evaluations
+    (lo, flo), (hi, fhi) = sorted(((a, fa), (b, fb)))
     kept = 0  # -1: hi survived the last step, +1: lo did
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         x = lo - flo * (hi - lo) / (fhi - flo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        if not lo < x < hi:  # the step rounds to under an ulp: the root is next to that end
+            x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
         fx = f(x)
+        evaluations += 1
         if abs(fx) <= ftol:
-            return x, fx, iterations
+            return x, fx, evaluations
         if (fx < 0.0) == (flo < 0.0):
             lo, flo = x, fx
             if kept == -1:
@@ -173,37 +193,50 @@ def _root(f, lo: float, hi: float, ftol: float, max_iter: int):
                 flo *= 0.5
             kept = 1
         if hi - lo <= 4.0 * math.ulp(x):
-            return x, fx, iterations
+            return x, fx, evaluations
     raise NoConvergenceError(f"root finder did not converge in {max_iter} iterations")
 
 
 def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateResult:
     """Solve Gamma(1-2/alpha) - Gamma(1-1/alpha)^2 = v for alpha.
 
-    The variance falls strictly from +inf to 0 on (2, inf), and its log is
-    nearly linear in t = ln alpha (slope -2 at large alpha), so `_root`
-    solves ln V(e^t) = ln v for alpha in [2 + 1e-9, 1e9].  `tol` bounds the
-    relative residual |ln V(alpha) - ln v|; near alpha = 2 one ulp of alpha
-    can move V by more, and the solve then stops at the narrowest bracket
-    instead.  `residual` reports |V(alpha) - v|.  A v that no alpha in that
-    range matches raises NoConvergenceError.
+    `_root` solves f(t) = ln V(e^t) - ln v = 0 in t = ln alpha, for alpha in
+    [2 + 1e-9, 1e9], from a bracket that two evaluations of f prove.  Every
+    Taylor coefficient of V(u)/u^2 in u = 1/alpha is positive, so (i) the
+    order-2 root alpha_2 (alpha_order2) is a lower bound on alpha, f(t0) >= 0
+    at t0 = ln alpha_2, and (ii) d ln V / d ln alpha <= -2, so the root lies at
+    or below t0 + f(t0)/2.  Where |f(t0)| <= tol already (alpha above about
+    2e4, since alpha/alpha_2 - 1 is about 3.6/alpha^3) alpha_2 is the answer.
+
+    `tol` bounds the relative residual |ln V(alpha) - ln v|; near alpha = 2
+    one ulp of alpha can move V by more, and the solve then stops at the
+    narrowest bracket instead.  `residual` reports |V(alpha) - v|, and
+    `iterations` the number of evaluations of V, the seed's included.  A v that
+    no alpha in that range matches raises NoConvergenceError.
     """
     if not (v > 0.0) or not math.isfinite(v):
         raise DomainError(f"variance must be > 0, got {v!r}")
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be > 0, got {tol!r}")
     log_v = math.log(v)
-    f = lambda t: math.log(shape_variance(math.exp(t))) - log_v
-    root = _root(f, math.log(_ALPHA_MIN), math.log(_ALPHA_MAX), tol, max_iter)
+    f = lambda t: math.log(_centered(math.exp(t), 2)) - log_v
+    alpha_2 = 1.0 / _positive_cubic_root(_CUBIC.a3, _CUBIC.a2, v)
+    t_2 = math.log(alpha_2)
+    root = _root(f, t_2, lambda t, ft: t + 0.5 * ft, math.log(_ALPHA_MIN), math.log(_ALPHA_MAX),
+                 tol, max_iter)
     if root is None:
         raise NoConvergenceError(f"no alpha in [{_ALPHA_MIN}, {_ALPHA_MAX:g}] matches variance {v}")
-    t, log_ratio, iterations = root
-    residual = v * abs(math.expm1(log_ratio))
-    return EstimateResult(math.exp(t), Method.EXACT_ROOT, residual, iterations)
+    t, log_ratio, evaluations = root
+    alpha = alpha_2 if t == t_2 else math.exp(t)
+    return EstimateResult(alpha, Method.EXACT_ROOT, v * abs(math.expm1(log_ratio)), evaluations)
 
 
 def sample_stats(data: Sequence[float]) -> SampleStats:
-    """Single-pass empirical moments; see SampleStats for the exact estimators."""
+    """Empirical moments; see SampleStats for the exact estimators.
+
+    Whole-array numpy passes compute the mean, the deviations and their
+    squares, then the means of the second, third and fourth powers.
+    """
     x = np.asarray(data, dtype=np.float64)
     n = int(x.size)
     if n < 2:
@@ -240,10 +273,15 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     """Moment-matching fit: alpha from skewness, then scale and location.
 
     The analytic skewness depends on alpha alone and falls strictly on (3, inf)
-    towards s_inf ~ 1.1395471 as about s_inf + 5.97/alpha, so a float64 sample
-    skewness still pins alpha = 1e8 to about 1e-8.  `_root` solves
-    1/skewness(1/u) = 1/s in u = 1/alpha for alpha in [3 + 1e-9, 1e9], where
-    both sides are bounded; a skewness it cannot match raises DegenerateFitError.
+    towards s_inf ~ 1.1395471 as about s_inf + C1/alpha (C1 ~ 5.96661), so a
+    float64 sample skewness still pins alpha = 1e8 to about 1e-8.  `_root`
+    solves 1/skewness(1/u) = 1/s in u = 1/alpha for alpha in [3 + 1e-9, 1e9],
+    where both sides are bounded, from the seed u0 = (s - s_inf)/C1.  The
+    bound skewness(u) >= s_inf + C1 u (checked on (1e-9, 1/3), not proven)
+    puts the root at or below u0, and the chord from (0, s_inf) through
+    (u0, skewness(u0)) meets s at or below the root; `_root` checks both signs
+    and widens the bracket when a bound fails.  A skewness it cannot match
+    raises DegenerateFitError.
     """
     if stats.count < 3:
         raise InsufficientDataError(f"need at least 3 values, got {stats.count}")
@@ -252,16 +290,19 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     if not (stats.skewness > 0.0) or not math.isfinite(stats.skewness):
         raise DegenerateFitError("sample skewness must be positive and finite")
 
-    target = 1.0 / stats.skewness
-    f = lambda u: 1.0 / skewness(FrechetShape(1.0 / u)) - target
-    root = _root(f, 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9), math.ulp(target), 200)
+    s = stats.skewness
+    target = 1.0 / s
+    f = lambda u: 1.0 / _normalized(1.0 / u, 3) - target
+    u0 = (s - _SKEWNESS_LIMIT) / _skewness_slope()
+    chord = lambda u, fu: u * (s - _SKEWNESS_LIMIT) / (1.0 / (fu + target) - _SKEWNESS_LIMIT)
+    root = _root(f, u0, chord, 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9), math.ulp(target), 200)
     if root is None:
-        if stats.skewness < skewness(FrechetShape(_ALPHA_MAX)):
+        if s < skewness(FrechetShape(_ALPHA_MAX)):
             raise DegenerateFitError(
-                f"sample skewness {stats.skewness} needs alpha > {_ALPHA_MAX:g}: it is at or "
-                f"near the alpha -> inf limit 12*sqrt(6)*zeta(3)/pi^3 = {_SKEWNESS_LIMIT:.7f}"
+                f"sample skewness {s} needs alpha > {_ALPHA_MAX:g}: it is at or near the "
+                f"alpha -> inf limit 12*sqrt(6)*zeta(3)/pi^3 = {_SKEWNESS_LIMIT:.7f}"
             )
-        raise DegenerateFitError(f"sample skewness {stats.skewness} requires alpha <= 3")
+        raise DegenerateFitError(f"sample skewness {s} requires alpha <= 3")
     alpha = 1.0 / root[0]
     scale = math.sqrt(stats.variance / shape_variance(alpha))
     location = stats.mean - scale * raw_moment(FrechetShape(alpha), 1)

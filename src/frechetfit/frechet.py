@@ -3,7 +3,9 @@
 Raw moments of the one-parameter form are Omega_k = Gamma(1 - k/alpha),
 defined only for k < alpha.  A centered moment of order k (k = 2: the
 variance) is one power series in u = 1/alpha for alpha >= 2k and the binomial
-expansion in the Omega_p below; normalized ones need alpha > 2 as well.
+expansion in the Omega_p below; normalized ones need alpha > 2 as well.  Where
+the binomial sum cancels too many digits to leave an answer (high orders at
+large alpha) it raises PrecisionLossError.
 """
 
 import functools
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, UndefinedMomentError
+from .errors import DomainError, PrecisionLossError, UndefinedMomentError
 from .special_functions import ZETA, gamma, log_gamma
 
 __all__ = [
@@ -106,6 +108,9 @@ _TERMS = 64
 # Cancellation in a table grows with its order (about 1e-6 at order 20) and it
 # overflows float64 from order 92, so higher orders take the binomial sum.
 _MAX_SERIES_ORDER = 20
+# The binomial sum's relative rounding bound above which it raises: every
+# value it returns then keeps about eight digits (measured, orders 2 to 30).
+_MAX_ROUNDING = 1e-6
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,18 +142,58 @@ def _kernel(k: int, u: float) -> float:
     return s
 
 
-def _centered(alpha: float, k: int) -> float:
+def _on_series(alpha: float, k: int) -> bool:
     # below alpha = 2k the series converges slowly or not at all
-    if alpha >= 2 * k and k <= _MAX_SERIES_ORDER:
+    return alpha >= 2 * k and k <= _MAX_SERIES_ORDER
+
+
+def _centered_from_series(u: float, k: int, s_k: float) -> float:
+    return math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
+
+
+def _normalized_from_series(u: float, k: int, s_k: float) -> float:
+    return s_k / _kernel(2, u) ** (k / 2.0)
+
+
+def _centered(alpha: float, k: int) -> float:
+    """Centered moment of order k for k < alpha, without argument checks."""
+    if _on_series(alpha, k):
         u = 1.0 / alpha
-        return math.exp(k * log_gamma(1.0 - u)) * u**k * _kernel(k, u)
+        return _centered_from_series(u, k, _kernel(k, u))
     omega1 = gamma(1.0 - 1.0 / alpha)
-    total = 0.0
+    total = magnitude = 0.0
     for p in range(k + 1):
         omega_p = 1.0 if p == 0 else gamma(1.0 - p / alpha)
         term = math.comb(k, p) * omega1 ** (k - p) * omega_p
         total += term if (k - p) % 2 == 0 else -term
+        magnitude += term  # every term is positive
+    # the rounding error of k + 1 alternating terms is about eps (k + 1) sum|term|
+    if math.ulp(1.0) * (k + 1) * magnitude > _MAX_ROUNDING * abs(total):
+        raise PrecisionLossError(
+            f"centered moment of order {k} at alpha = {alpha} is lost to cancellation: "
+            f"the binomial sum of Gamma values keeps fewer than 6 reliable digits"
+        )
     return total
+
+
+def _normalized(alpha: float, k: int) -> float:
+    """Normalized centered moment of order k for alpha > 2 and k < alpha, unchecked."""
+    if _on_series(alpha, k):
+        u = 1.0 / alpha
+        return _normalized_from_series(u, k, _kernel(k, u))
+    return _centered(alpha, k) / _centered(alpha, 2) ** (k / 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _skewness_slope() -> float:
+    """C1 = d skewness / du at u = 1/alpha = 0, from the k = 2 and k = 3 series.
+
+    skewness(u) = S_3(u) / S_2(u)^1.5 (see _series), so C1 = S_3'(0)/S_2(0)^1.5
+    - 1.5 S_3(0) S_2'(0)/S_2(0)^2.5, about 5.96661.
+    """
+    s2, ds2 = _series(2)[-1], _series(2)[-2]
+    s3, ds3 = _series(3)[-1], _series(3)[-2]
+    return ds3 / s2**1.5 - 1.5 * s3 * ds2 / s2**2.5
 
 
 def raw_moment(d: FrechetShape, k: int) -> float:
@@ -163,7 +208,11 @@ def raw_moment(d: FrechetShape, k: int) -> float:
 
 
 def centered_moment(d: FrechetShape, k: int) -> float:
-    """k-th centered moment: the series kernel for alpha >= 2k, else the binomial sum."""
+    """k-th centered moment: the series kernel for alpha >= 2k, else the binomial sum.
+
+    The binomial sum raises PrecisionLossError where it cancels to fewer than
+    about six reliable digits (orders above 8 or so, see _MAX_ROUNDING).
+    """
     if k < 2:
         raise DomainError(f"centered moment order must be >= 2, got {k!r}")
     if k >= d.alpha:
@@ -195,10 +244,7 @@ def normalized_centered_moment(d: FrechetShape, k: int) -> float:
         raise UndefinedMomentError(
             f"normalized centered moment of order {k} undefined for alpha = {d.alpha}"
         )
-    if d.alpha >= 2 * k and k <= _MAX_SERIES_ORDER:
-        u = 1.0 / d.alpha
-        return _kernel(k, u) / _kernel(2, u) ** (k / 2.0)
-    return _centered(d.alpha, k) / shape_variance(d.alpha) ** (k / 2.0)
+    return _normalized(d.alpha, k)
 
 
 def skewness(d: FrechetShape) -> float:
@@ -216,9 +262,27 @@ def excess_kurtosis(d: FrechetShape) -> float:
 
 
 def moment_report(d: FrechetShape, k: int) -> MomentReport:
-    """Build the raw/centered/normalized report for one order, never raising."""
+    """Build the raw/centered/normalized report for one order, never raising.
+
+    `centered` and `normalized` are None as well where the binomial sum loses
+    every digit (PrecisionLossError).  On the series side both come from one
+    S_k(u) evaluation, with the same values as centered_moment and
+    normalized_centered_moment.
+    """
     defined = k < d.alpha
     raw = gamma(1.0 - k / d.alpha) if defined else None
-    centered = centered_moment(d, k) if defined and k >= 2 else None
-    normalized = normalized_centered_moment(d, k) if centered is not None else None
+    centered = normalized = None
+    if defined and k >= 2:
+        if _on_series(d.alpha, k):
+            u = 1.0 / d.alpha
+            s_k = _kernel(k, u)
+            centered = _centered_from_series(u, k, s_k)
+            normalized = _normalized_from_series(u, k, s_k)
+        else:
+            try:
+                centered = _centered(d.alpha, k)
+            except PrecisionLossError:
+                pass
+            else:
+                normalized = centered / _centered(d.alpha, 2) ** (k / 2.0)
     return MomentReport(order=k, raw=raw, centered=centered, normalized=normalized, defined=defined)

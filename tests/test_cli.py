@@ -111,6 +111,20 @@ class TestMoments:
         assert code == 0
         assert [m["order"] for m in json.loads(out)["moments"]] == list(range(1, 101))
 
+    def test_orders_lost_to_cancellation_print_as_missing(self, capsys):
+        # orders 21..30 at alpha = 1e8 take the binomial sum, which keeps no digit there
+        code, out, _ = run(capsys, "moments", "--alpha", "1e8", "--max-order", "30",
+                           "--format", "json")
+        assert code == 0
+        moments = json.loads(out)["moments"]
+        assert all(m["centered"] is not None and m["centered"] > 0.0 for m in moments[1:20:2])
+        assert all(m["centered"] is None and m["normalized"] is None for m in moments[20:])
+        assert all(m["defined"] and m["raw"] is not None for m in moments)
+        code, out, _ = run(capsys, "moments", "--alpha", "1e8", "--max-order", "30")
+        assert code == 0
+        row = out.splitlines()[30].split()
+        assert row[0] == "30" and row[2:] == ["-", "-"]
+
     def test_json_large_alpha_near_the_gumbel_limits(self, capsys):
         # alpha -> inf limits: skewness 1.1395471, excess kurtosis 2.4
         code, out, _ = run(capsys, "moments", "--alpha", "1e5", "--format", "json")

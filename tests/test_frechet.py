@@ -7,6 +7,7 @@ from frechetfit import (
     DomainError,
     FrechetParams,
     FrechetShape,
+    PrecisionLossError,
     UndefinedMomentError,
     cdf,
     centered_moment,
@@ -330,6 +331,43 @@ class TestSeriesKernel:
         assert 0.0 < got - limit < 1e-7
 
 
+class TestPrecisionLoss:
+    @staticmethod
+    def reference(alpha, k):
+        with mp.workdps(40 + 9 * k):
+            a = mp.mpf(alpha)
+            om = [mp.gamma(1 - p / a) for p in range(k + 1)]
+            return sum(mp.binomial(k, p) * (-om[1]) ** (k - p) * om[p] for p in range(k + 1))
+
+    @pytest.mark.parametrize("k", [9, 12, 16, 20, 21, 25, 30])
+    def test_every_returned_moment_keeps_its_digits(self, k):
+        # the binomial side (alpha < 2k, and every alpha above order 20) either
+        # raises or is within 1e-7 of mpmath; measured worst 1.9e-8.  Order 9
+        # keeps its digits everywhere, orders 21 and up only next to alpha = k.
+        lo, hi = k + 0.01, (2.0 * k if k <= 20 else 1e8)
+        returned = 0
+        for i in range(12):
+            alpha = lo * (hi / lo) ** (i / 12)
+            try:
+                got = centered_moment(FrechetShape(alpha), k)
+            except PrecisionLossError:
+                continue
+            returned += 1
+            ref = self.reference(alpha, k)
+            assert abs(got - ref) <= 1e-7 * abs(ref), alpha
+        assert returned == {9: 12, 12: 9, 16: 5, 20: 3}.get(k, 1)
+
+    @pytest.mark.parametrize("k", range(21, 31))
+    def test_high_orders_at_large_alpha_raise(self, k):
+        shape = FrechetShape(1e8)
+        with pytest.raises(PrecisionLossError, match=f"order {k} at alpha = 100000000.0"):
+            centered_moment(shape, k)
+        with pytest.raises(PrecisionLossError):
+            normalized_centered_moment(shape, k)
+        r = moment_report(shape, k)
+        assert r.defined and r.raw is not None and r.centered is None and r.normalized is None
+
+
 class TestMomentReport:
     def test_defined_flags(self):
         r = moment_report(FrechetShape(5.0), 3)
@@ -344,3 +382,15 @@ class TestMomentReport:
     def test_first_order_has_no_centered(self):
         r = moment_report(FrechetShape(5.0), 1)
         assert r.defined and r.centered is None and r.normalized is None
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_same_values_as_the_moment_functions(self, k):
+        # one S_k evaluation serves both columns, bit for bit
+        for i in range(400):
+            alpha = 2.01 * (1e8 / 2.01) ** (i / 399)
+            if k >= alpha:
+                continue
+            shape = FrechetShape(alpha)
+            r = moment_report(shape, k)
+            assert r.centered == centered_moment(shape, k), alpha
+            assert r.normalized == normalized_centered_moment(shape, k), alpha
