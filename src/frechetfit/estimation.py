@@ -8,11 +8,17 @@ Three estimators of increasing fidelity:
   (pi^2/6) u^2 + ((gamma*pi^2 + 6 zeta(3))/3) u^3 = V in u = 1/alpha,
   in closed form (trigonometric / Cardano) plus one Newton polish;
 * exact: ln(Gamma(1-2/alpha) - Gamma(1-1/alpha)^2) = ln V solved in
-  t = ln alpha, seeded with the order-2 root, which bounds it from below.
+  t = ln alpha.
 
 One root finder, `_root`, solves both inverse problems: it turns a seed and a
 closed-form bound into a bracket, then runs the Illinois iteration in it.
-`fit_location_scale` seeds it from the skewness asymptote s_inf + C1/alpha.
+Both seeds come from the same idea as the order-1 and order-2 estimates
+carried to all orders: the variance series reverted to u = 1/alpha as a power
+series in sqrt(V), and the skewness series reverted in skewness - s_inf
+(frechet._variance_reversion, frechet._skewness_reversion).  Above alpha of
+about 11 and 13 respectively they give u to float64 precision, and the solve
+stops at its first evaluation.  Below that each starts from closed-form bounds
+that include the pole of the highest Gamma factor.
 """
 
 import enum
@@ -28,7 +34,9 @@ from .frechet import (
     FrechetShape,
     _centered,
     _normalized,
-    _skewness_slope,
+    _skewness_reversion,
+    _sum_reversion,
+    _variance_reversion,
     raw_moment,
     shape_variance,
     skewness,
@@ -49,7 +57,8 @@ __all__ = [
 
 _ALPHA_MIN = 2.0 + 1e-9
 _ALPHA_MAX = 1e9
-_SKEWNESS_LIMIT = 12.0 * math.sqrt(6.0) * CONSTANTS.apery / math.pi**3
+# skewness ~ Gamma(1 - 3u) / V(1/3)^1.5 ~ 1 / ((1 - 3u) V(1/3)^1.5) as u -> 1/3
+_POLE_SKEWNESS_SCALE = shape_variance(3.0) ** 1.5
 
 
 class Method(enum.Enum):
@@ -201,12 +210,15 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     """Solve Gamma(1-2/alpha) - Gamma(1-1/alpha)^2 = v for alpha.
 
     `_root` solves f(t) = ln V(e^t) - ln v = 0 in t = ln alpha, for alpha in
-    [2 + 1e-9, 1e9], from a bracket that two evaluations of f prove.  Every
-    Taylor coefficient of V(u)/u^2 in u = 1/alpha is positive, so (i) the
-    order-2 root alpha_2 (alpha_order2) is a lower bound on alpha, f(t0) >= 0
-    at t0 = ln alpha_2, and (ii) d ln V / d ln alpha <= -2, so the root lies at
-    or below t0 + f(t0)/2.  Where |f(t0)| <= tol already (alpha above about
-    2e4, since alpha/alpha_2 - 1 is about 3.6/alpha^3) alpha_2 is the answer.
+    [2 + 1e-9, 1e9].  Where sqrt(v) is within the reach of the reverted
+    variance series (alpha above about 11) the seed is that series' sum, exact
+    to rounding, and the solve stops at its first evaluation unless `tol` is
+    finer than that.  Elsewhere it is the larger of two lower bounds on alpha:
+    the order-2 root (alpha_order2; every Taylor coefficient of V(u)/u^2 in
+    u = 1/alpha is positive) and the pole bound V(u) > 1/(1 - 2u) - gamma - pi,
+    which is the closer one below alpha of about 3.4.  Either way
+    d ln V / d ln alpha <= -2 puts the root between the seed t0 and
+    t0 + f(t0)/2, and two evaluations of f prove the bracket.
 
     `tol` bounds the relative residual |ln V(alpha) - ln v|; near alpha = 2
     one ulp of alpha can move V by more, and the solve then stops at the
@@ -220,14 +232,20 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
         raise DomainError(f"tolerance must be > 0, got {tol!r}")
     log_v = math.log(v)
     f = lambda t: math.log(_centered(math.exp(t), 2)) - log_v
-    alpha_2 = 1.0 / _positive_cubic_root(_CUBIC.a3, _CUBIC.a2, v)
-    t_2 = math.log(alpha_2)
-    root = _root(f, t_2, lambda t, ft: t + 0.5 * ft, math.log(_ALPHA_MIN), math.log(_ALPHA_MAX),
+    u_0 = _sum_reversion(_variance_reversion(), math.sqrt(v))
+    if u_0 is None:
+        # two lower bounds: the order-2 root, and the pole V > 1/(1 - 2u) - gamma - pi
+        pole = 2.0 / (1.0 - 1.0 / (v + CONSTANTS.euler_gamma + math.pi))
+        alpha_0 = max(1.0 / _positive_cubic_root(_CUBIC.a3, _CUBIC.a2, v), pole)
+    else:
+        alpha_0 = 1.0 / u_0
+    t_0 = math.log(alpha_0)
+    root = _root(f, t_0, lambda t, ft: t + 0.5 * ft, math.log(_ALPHA_MIN), math.log(_ALPHA_MAX),
                  tol, max_iter)
     if root is None:
         raise NoConvergenceError(f"no alpha in [{_ALPHA_MIN}, {_ALPHA_MAX:g}] matches variance {v}")
     t, log_ratio, evaluations = root
-    alpha = alpha_2 if t == t_2 else math.exp(t)
+    alpha = alpha_0 if t == t_0 else math.exp(t)
     return EstimateResult(alpha, Method.EXACT_ROOT, v * abs(math.expm1(log_ratio)), evaluations)
 
 
@@ -276,12 +294,16 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     towards s_inf ~ 1.1395471 as about s_inf + C1/alpha (C1 ~ 5.96661), so a
     float64 sample skewness still pins alpha = 1e8 to about 1e-8.  `_root`
     solves 1/skewness(1/u) = 1/s in u = 1/alpha for alpha in [3 + 1e-9, 1e9],
-    where both sides are bounded, from the seed u0 = (s - s_inf)/C1.  The
-    bound skewness(u) >= s_inf + C1 u (checked on (1e-9, 1/3), not proven)
-    puts the root at or below u0, and the chord from (0, s_inf) through
-    (u0, skewness(u0)) meets s at or below the root; `_root` checks both signs
-    and widens the bracket when a bound fails.  A skewness it cannot match
-    raises DegenerateFitError.
+    where both sides are bounded, to within 8 ulps of 1/s (the rounding of
+    the skewness near the root reaches 7 on the test grid).  Above alpha of
+    about 13 the seed is the reverted skewness series summed at s - s_inf, and
+    the solve stops at its first evaluation.  Below that it is the pole term
+    u0 = (1 - 1/(s V(1/3)^1.5))/3 of Gamma(1 - 3u), an upper bound on the root
+    there (checked, not proven; it is far closer than the tangent
+    (s - s_inf)/C1).  The chord from (0, s_inf) through (u0, skewness(u0))
+    meets s on the root's other side (also checked, not proven); `_root`
+    checks both signs and widens the bracket when a bound fails.  A skewness
+    it cannot match raises DegenerateFitError.
     """
     if stats.count < 3:
         raise InsufficientDataError(f"need at least 3 values, got {stats.count}")
@@ -293,14 +315,17 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     s = stats.skewness
     target = 1.0 / s
     f = lambda u: 1.0 / _normalized(1.0 / u, 3) - target
-    u0 = (s - _SKEWNESS_LIMIT) / _skewness_slope()
-    chord = lambda u, fu: u * (s - _SKEWNESS_LIMIT) / (1.0 / (fu + target) - _SKEWNESS_LIMIT)
-    root = _root(f, u0, chord, 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9), math.ulp(target), 200)
+    s_inf, table = _skewness_reversion()
+    u0 = _sum_reversion(table, s - s_inf)
+    if u0 is None:  # the pole term, an upper bound on the root below alpha ~ 14.7
+        u0 = (1.0 - 1.0 / (s * _POLE_SKEWNESS_SCALE)) / 3.0
+    chord = lambda u, fu: u * (s - s_inf) / (1.0 / (fu + target) - s_inf)
+    root = _root(f, u0, chord, 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9), 8.0 * math.ulp(target), 200)
     if root is None:
         if s < skewness(FrechetShape(_ALPHA_MAX)):
             raise DegenerateFitError(
                 f"sample skewness {s} needs alpha > {_ALPHA_MAX:g}: it is at or near the "
-                f"alpha -> inf limit 12*sqrt(6)*zeta(3)/pi^3 = {_SKEWNESS_LIMIT:.7f}"
+                f"alpha -> inf limit 12*sqrt(6)*zeta(3)/pi^3 = {s_inf:.7f}"
             )
         raise DegenerateFitError(f"sample skewness {s} requires alpha <= 3")
     alpha = 1.0 / root[0]

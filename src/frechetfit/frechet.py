@@ -5,7 +5,9 @@ defined only for k < alpha.  A centered moment of order k (k = 2: the
 variance) is one power series in u = 1/alpha for alpha >= 2k and the binomial
 expansion in the Omega_p below; normalized ones need alpha > 2 as well.  Where
 the binomial sum cancels too many digits to leave an answer (high orders at
-large alpha) it raises PrecisionLossError.
+large alpha) it raises PrecisionLossError.  The variance and skewness series,
+reverted to u as power series in sqrt(V) and in skewness - s_inf, seed the
+inverse solves in estimation.
 """
 
 import functools
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, PrecisionLossError, UndefinedMomentError
-from .special_functions import ZETA, gamma, log_gamma
+from .special_functions import CONSTANTS, ZETA, gamma, log_gamma
 
 __all__ = [
     "FrechetShape",
@@ -113,6 +115,19 @@ _MAX_SERIES_ORDER = 20
 _MAX_ROUNDING = 1e-6
 
 
+def _zeta(top: int) -> tuple:
+    """zeta(2), ..., zeta(top); past ZETA five terms of the sum reach float64 precision."""
+    return ZETA + tuple(1.0 + 2.0**-n + 3.0**-n + 4.0**-n + 5.0**-n for n in range(21, top + 1))
+
+
+def _exp_series(a: list) -> list:
+    """Coefficients of exp(sum_i a_i u^i), a_0 = 0, by the J.C.P. Miller recurrence."""
+    b = [1.0] + [0.0] * (len(a) - 1)
+    for m in range(1, len(a)):
+        b[m] = sum(i * a[i] * b[m - i] for i in range(1, m + 1)) / m
+    return b
+
+
 @functools.lru_cache(maxsize=None)
 def _series(k: int) -> tuple:
     """Coefficients of S_k(u) = E[(X/Omega_1 - 1)^k] / u^k in u = 1/alpha, highest first.
@@ -122,13 +137,10 @@ def _series(k: int) -> tuple:
     cancel every power below u^k exactly, so those are dropped, not summed.
     """
     top = k + _TERMS - 1
-    zeta = ZETA + tuple(1.0 + 2.0**-n + 3.0**-n + 4.0**-n + 5.0**-n for n in range(21, top + 1))
+    zeta = _zeta(top)
     total = [0.0] * (top + 1)
     for j in range(2, k + 1):  # j = 0, 1 add only to the dropped u^0 term
-        a = [0.0, 0.0] + [z * (j**n - j) / n for n, z in enumerate(zeta, start=2)]
-        b = [1.0] + [0.0] * top
-        for m in range(2, top + 1):
-            b[m] = sum(i * a[i] * b[m - i] for i in range(2, m + 1)) / m
+        b = _exp_series([0.0, 0.0] + [z * (j**n - j) / n for n, z in enumerate(zeta, start=2)])
         for m in range(k, top + 1):
             total[m] += math.comb(k, j) * (-1) ** (k - j) * b[m]
     return tuple(reversed(total[k:]))
@@ -184,16 +196,81 @@ def _normalized(alpha: float, k: int) -> float:
     return _centered(alpha, k) / _centered(alpha, 2) ** (k / 2.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _skewness_slope() -> float:
-    """C1 = d skewness / du at u = 1/alpha = 0, from the k = 2 and k = 3 series.
+# Terms of the reverted series below: enough for float64 precision above alpha
+# of about 11 (variance) and 13 (skewness), while the first solves build both
+# tables in about 2 ms; the build time grows as the cube of the term count.
+_REVERSION_TERMS = 24
 
-    skewness(u) = S_3(u) / S_2(u)^1.5 (see _series), so C1 = S_3'(0)/S_2(0)^1.5
-    - 1.5 S_3(0) S_2'(0)/S_2(0)^2.5, about 5.96661.
+
+def _power_series(p: list, a: float) -> list:
+    """Coefficients of p(u)^a, p_0 > 0, to the length of p, by the J.C.P. Miller recurrence."""
+    c = [p[0] ** a] + [0.0] * (len(p) - 1)
+    for m in range(1, len(p)):
+        c[m] = sum(((a + 1.0) * i - m) * p[i] * c[m - i] for i in range(1, m + 1)) / (m * p[0])
+    return c
+
+
+def _reversion(p: list, a: float) -> tuple:
+    """Invert y = u p(u)^a, p of length N, to u = sum_{m=1..N} c_m y^m.
+
+    Lagrange inversion gives c_m = [u^(m-1)] p(u)^(-a m) / m.  Returns
+    (radius, coefficients highest first); the coefficients grow about as
+    radius^-m, and |c_N|^(-1/N) stands in for the radius of convergence.
     """
-    s2, ds2 = _series(2)[-1], _series(2)[-2]
-    s3, ds3 = _series(3)[-1], _series(3)[-2]
-    return ds3 / s2**1.5 - 1.5 * s3 * ds2 / s2**2.5
+    n = len(p)
+    c = [_power_series(p[:m], -a * m)[m - 1] / m for m in range(1, n + 1)]
+    return abs(c[-1]) ** (-1.0 / n), tuple(reversed(c))
+
+
+def _sum_reversion(table: tuple, y: float) -> Optional[float]:
+    """u(y) from a _reversion table, summed over only the terms y needs.
+
+    None where y <= 0, or where the table's terms are too few for float64
+    precision (y^m / radius^m > e^-36 at the last one).
+    """
+    radius, c = table
+    if not 0.0 < y < radius:
+        return None
+    n = 1 + int(36.0 / math.log(radius / y))
+    if n > len(c):
+        return None
+    u = 0.0
+    for c_m in c[len(c) - n:]:
+        u = u * y + c_m
+    return u * y
+
+
+@functools.lru_cache(maxsize=None)
+def _variance_reversion() -> tuple:
+    """u = 1/alpha as a power series in w = sqrt(V), to invert the variance.
+
+    w = u q(u) with q(u)^2 = Omega_1^2 S_2(u), and Omega_1^2 = exp(2 ln Gamma(1-u))
+    = exp(2 gamma u + sum_{n>=2} 2 zeta(n) u^n / n).  Its first two
+    coefficients, sqrt(6)/pi and -a3/(2 a2^2), are the order-1 and order-2
+    estimates of alpha_order1 and alpha_order2.
+    """
+    n = _REVERSION_TERMS
+    two_log_gamma = [0.0, 2.0 * CONSTANTS.euler_gamma]
+    omega1_sq = _exp_series(two_log_gamma + [2.0 * z / m for m, z in enumerate(_zeta(n - 1), start=2)])
+    s2 = _series(2)[::-1]
+    q_sq = [sum(omega1_sq[i] * s2[m - i] for i in range(m + 1)) for m in range(n)]
+    return _reversion(q_sq, 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _skewness_reversion() -> tuple:
+    """(s_inf, table): u = 1/alpha as a power series in skewness - s_inf.
+
+    skewness(u) = S_3(u) S_2(u)^(-3/2) = s_inf + u r(u), with s_inf ~ 1.1395471
+    the series' own constant term, which the skewness tends to at large alpha.
+    The table's first coefficient is 1/C1, the reciprocal slope of the
+    skewness at u = 0 (C1 ~ 5.96661).
+    """
+    n = _REVERSION_TERMS + 1
+    s2_power = _power_series(list(_series(2)[::-1][:n]), -1.5)
+    s3 = _series(3)[::-1]
+    skew = [sum(s3[i] * s2_power[m - i] for i in range(m + 1)) for m in range(n)]
+    return skew[0], _reversion(skew[1:], 1.0)
 
 
 def raw_moment(d: FrechetShape, k: int) -> float:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frechetfit import (
+    CONSTANTS,
     CubicCoefficients,
     DegenerateFitError,
     DomainError,
@@ -198,10 +199,11 @@ _EVALUATION_GRID = [2.01 * (1e8 / 2.01) ** (i / 399) for i in range(400)]
 
 
 class TestSolverEvaluations:
-    """Evaluations of the solved function per solve, pinned a little above the
-    measured values over a 400-point log grid of alpha in [2.01, 1e8].  From the
-    fixed bracket [2 + 1e-9, 1e9] the means were 9.2 (alpha_exact) and 7.7 (fit),
-    so a lost seed fails here."""
+    """Evaluations of the solved function per solve, pinned at or a little above
+    the measured values over a 400-point log grid of alpha in [2.01, 1e8].  From
+    the fixed bracket [2 + 1e-9, 1e9] the means were 9.2 (alpha_exact) and 7.7
+    (fit), and from the order-2 and tangent seeds alone 3.20 and 4.38, so a lost
+    seed fails here."""
 
     @staticmethod
     def counting(monkeypatch, name):
@@ -218,8 +220,8 @@ class TestSolverEvaluations:
             calls.clear()
             counts.append(alpha_exact(v).iterations)
             assert counts[-1] == len(calls), alpha
-        assert sum(counts) / len(counts) <= 3.4  # measured 3.20
-        assert max(counts) <= 18  # measured 17, next to alpha = 2
+        assert sum(counts) / len(counts) <= 1.7  # measured 1.64
+        assert max(counts) <= 9  # measured 9, below alpha = 2.9; 17 from the order-2 seed
 
     def test_fit(self, monkeypatch):
         inputs = []
@@ -237,9 +239,111 @@ class TestSolverEvaluations:
             counts.append(len(calls))
         # the last input took 39 before an Illinois step that rounds onto an
         # end of the bracket moved one ulp in, not to the midpoint
-        assert counts[-1] <= 12  # measured 9
-        assert sum(counts) / len(counts) <= 4.6  # measured 4.38
-        assert max(counts) <= 18  # measured 17, at alpha = 5.34
+        assert counts[-1] <= 6  # measured 6
+        assert sum(counts) / len(counts) <= 1.6  # measured 1.58
+        # measured 14, at alpha = 5.84, where the rounding of the binomial-side
+        # skewness exceeds the tolerance; 17 from the tangent seed
+        assert max(counts) <= 14
+
+
+def _skewness_seed(s):
+    s_inf, table = frechet._skewness_reversion()
+    return frechet._sum_reversion(table, s - s_inf)
+
+
+def _fit_tolerance(s):
+    return 8.0 * math.ulp(1.0 / s)
+
+
+class TestReversionSeeds:
+    """The reverted variance and skewness series that seed both inverse solves."""
+
+    def test_variance_series_extends_the_paper_estimates(self):
+        # u = h_1 w + h_2 w^2 + ... in w = sqrt(V): h_1 is the order-1 estimate
+        # pi / sqrt(6 V) and h_2 the order-2 correction of the cubic
+        c = CubicCoefficients()
+        h = frechet._variance_reversion()[1][::-1]
+        assert h[0] == pytest.approx(math.sqrt(6.0) / math.pi, rel=1e-15)
+        assert h[1] == pytest.approx(-c.a3 / (2.0 * c.a2**2), rel=1e-15)
+
+    def test_variance_seed_against_mpmath(self):
+        # every alpha from where the series reaches float64 precision up to 1e8
+        grid = [2.01 * (1e8 / 2.01) ** (i / 299) for i in range(300)]
+        seeded = 0
+        with mp.workdps(40):
+            v_mp = lambda u: mp.gamma(1 - 2 * u) - mp.gamma(1 - u) ** 2
+            for alpha in grid:
+                w = math.sqrt(shape_variance(alpha))
+                u = frechet._sum_reversion(frechet._variance_reversion(), w)
+                if u is None:
+                    assert alpha < 12.0, alpha
+                    continue
+                seeded += 1
+                ref = mp.findroot(lambda x: mp.sqrt(v_mp(x)) - w, mp.mpf(1) / alpha)
+                assert abs(1.0 / u - 1 / ref) <= 1e-13 / ref, alpha
+        assert seeded >= 230
+
+    def test_skewness_seed_within_the_fit_tolerance(self):
+        grid = [3.01 * (1e8 / 3.01) ** (i / 2999) for i in range(3000)]
+        seeded = 0
+        for alpha in grid:
+            s = skewness(FrechetShape(alpha))
+            u = _skewness_seed(s)
+            if u is None:
+                assert alpha < 13.0, alpha
+                continue
+            seeded += 1
+            assert abs(1.0 / frechet._normalized(1.0 / u, 3) - 1.0 / s) <= _fit_tolerance(s), alpha
+        assert seeded >= 2500
+
+    def test_fit_tolerance_above_the_rounding_floor(self):
+        # some float u at or next to the true root meets the tolerance, so the
+        # seed can stop the solve.  This holds on this grid only: below alpha = 4
+        # one ulp of u can move 1/skewness by more than 8 ulps, and on a
+        # 3000-point log grid of [3.01, 1e8] five alphas there miss it (up to
+        # 103 ulps at alpha = 3.027); those solves stop on the bracket width
+        for alpha in _EVALUATION_GRID:
+            if alpha > 3.0:
+                s = skewness(FrechetShape(alpha))
+                u = 1.0 / alpha
+                near = (math.nextafter(u, 0.0), u, math.nextafter(u, 1.0))
+                floor = min(abs(1.0 / frechet._normalized(1.0 / x, 3) - 1.0 / s) for x in near)
+                assert floor <= _fit_tolerance(s), alpha
+
+    def test_low_alpha_seeds_bound_the_root(self, monkeypatch):
+        # below the series' reach alpha_exact starts from the larger of two lower
+        # bounds on alpha (the order-2 root, and the pole, since
+        # Gamma(e) >= 1/e - gamma and Gamma(1-u)^2 <= pi), and the fit from the
+        # pole term, an upper bound on u there (checked, not proven)
+        first = []  # alpha of a solve's first evaluation
+
+        def recording(fn):
+            def wrapped(alpha, k):
+                if not first:
+                    first.append(alpha)
+                return fn(alpha, k)
+            return wrapped
+
+        for name in ("_centered", "_normalized"):
+            monkeypatch.setattr(estimation, name, recording(getattr(estimation, name)))
+        for i in range(500):
+            alpha = 2.0 + 1e-7 * (14.0 / 1e-7) ** (i / 499)
+            v = shape_variance(alpha)
+            first.clear()
+            alpha_exact(v)
+            if frechet._sum_reversion(frechet._variance_reversion(), math.sqrt(v)) is None:
+                pole = 2.0 / (1.0 - 1.0 / (v + CONSTANTS.euler_gamma + math.pi))
+                assert pole <= alpha * (1.0 + 1e-15), alpha
+                assert first[0] == pytest.approx(max(alpha_order2(v).alpha, pole), rel=1e-15), alpha
+            if alpha > 3.0:
+                s = skewness(FrechetShape(alpha))
+                first.clear()
+                fit_location_scale(SampleStats(count=1000, mean=1.0, variance=1.0, skewness=s,
+                                               excess_kurtosis=0.0))
+                if _skewness_seed(s) is None:
+                    pole = 3.0 / (1.0 - 1.0 / (s * shape_variance(3.0) ** 1.5))
+                    assert first[0] == pytest.approx(max(pole, 3.0 + 1e-9), rel=1e-12), alpha
+                    assert first[0] <= alpha, alpha
 
 
 class TestEstimatorOrdering:
@@ -371,7 +475,8 @@ class TestFitLocationScale:
             fit_location_scale(stats)
 
     def test_skewness_slope_against_mpmath(self):
-        # C1 = d skewness / du at u = 1/alpha = 0, by a difference quotient at u = 1e-30
+        # C1 = d skewness / du at u = 1/alpha = 0, by a difference quotient at u = 1e-30;
+        # the reverted skewness series starts u = (s - s_inf) / C1 + ...
         with mp.workdps(150):
             u = mp.mpf(10) ** -30
             om = [mp.gamma(1 - p * u) for p in range(4)]
@@ -379,15 +484,17 @@ class TestFitLocationScale:
             mu3 = om[3] - 3 * om[1] * om[2] + 2 * om[1] ** 3
             limit = 12 * mp.sqrt(6) * mp.zeta(3) / mp.pi**3
             c1 = (mu3 / mu2**1.5 - limit) / u
-        assert abs(frechet._skewness_slope() - c1) <= 1e-13 * c1
-        assert frechet._skewness_slope() == pytest.approx(5.96661, abs=1e-5)
+        s_inf, (_, g) = frechet._skewness_reversion()
+        assert abs(1.0 / g[-1] - c1) <= 1e-13 * c1
+        assert 1.0 / g[-1] == pytest.approx(5.96661, abs=1e-5)
+        assert s_inf == pytest.approx(float(limit), rel=1e-15)
 
     def test_skewness_tangent_bound(self):
-        # skewness(u) >= s_inf + C1 u on (1e-9, 1/3): checked, not proven, so the
-        # fit verifies the bracket it builds on it (allowing for the rounding of
-        # skewness, a few ulps of s_inf)
-        c1 = frechet._skewness_slope()
-        s_inf = estimation._SKEWNESS_LIMIT
+        # skewness(u) >= s_inf + C1 u on (1e-9, 1/3), allowing for the rounding
+        # of skewness (a few ulps of s_inf): checked, not proven, and no solver
+        # path relies on it; it checks C1 = 1/g_1 across the whole range
+        s_inf = 12.0 * math.sqrt(6.0) * CONSTANTS.apery / math.pi**3
+        c1 = 1.0 / frechet._skewness_reversion()[1][1][-1]
         for i in range(3000):
             u = 1e-9 * ((1.0 / 3.0) / 1e-9) ** (i / 2999)
             u = min(u, 1.0 / (3.0 + 1e-9))
