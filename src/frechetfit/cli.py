@@ -226,7 +226,7 @@ def _cmd_tables(args) -> int:
             ]
             for r in rows
         ]
-        _emit_rows(header, body, "table" if args.format == "json" else args.format, None)
+        _emit_rows(header, body, args.format, None)
         print()
     return 0
 

@@ -118,14 +118,15 @@ def alpha_order1(v: float) -> EstimateResult:
     return EstimateResult(alpha, Method.ORDER1, _variance_residual(alpha, v), 0)
 
 
-def _positive_cubic_root(a3: float, a2: float, v: float) -> float:
-    """Unique positive root u of a3 u^3 + a2 u^2 = v, for a3, a2, v > 0.
+def _positive_cubic_root(v: float) -> float:
+    """Unique positive root u of the order-2 cubic a3 u^3 + a2 u^2 = v, for v > 0.
 
     In alpha = 1/u = sqrt(a2 / (3 v)) * y the cubic is y^3 - 3 y = 2 r with
     r = a3 sqrt(27 v / a2^3) / 2, and u is given by its largest root: the
     trigonometric form for r <= 1, Cardano's for r > 1.  Neither subtracts
     nearly equal numbers or overflows, so every v > 0 keeps full precision.
     """
+    a3, a2 = _CUBIC.a3, _CUBIC.a2
     root_v = math.sqrt(v)
     r = 0.5 * a3 * math.sqrt(27.0 / a2**3) * root_v
     if r <= 1.0:
@@ -142,7 +143,7 @@ def alpha_order2(v: float) -> EstimateResult:
     """Closed-form (trigonometric / Cardano) root of the order-2 variance expansion."""
     if not (v > 0.0) or not math.isfinite(v):
         raise DomainError(f"variance must be > 0, got {v!r}")
-    u = _positive_cubic_root(_CUBIC.a3, _CUBIC.a2, v)
+    u = _positive_cubic_root(v)
     alpha = 1.0 / u
     return EstimateResult(alpha, Method.ORDER2_CARDANO, _variance_residual(alpha, v), 0)
 
@@ -236,7 +237,7 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     if u_0 is None:
         # two lower bounds: the order-2 root, and the pole V > 1/(1 - 2u) - gamma - pi
         pole = 2.0 / (1.0 - 1.0 / (v + CONSTANTS.euler_gamma + math.pi))
-        alpha_0 = max(1.0 / _positive_cubic_root(_CUBIC.a3, _CUBIC.a2, v), pole)
+        alpha_0 = max(1.0 / _positive_cubic_root(v), pole)
     else:
         alpha_0 = 1.0 / u_0
     t_0 = math.log(alpha_0)

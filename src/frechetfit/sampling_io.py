@@ -209,45 +209,35 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
 # Values per fh.write; a chunk's buffers stay under a megabyte.
 _CHUNK = 1 << 15
 
-_U64 = np.uint64
-_LO32 = _U64(0xFFFF_FFFF)
-_TEN9 = _U64(10**9)
-_TEN16 = _U64(10**16)
-_TEN17 = _U64(10**17)
-# 5^s for the scale 10^s = 5^s * 2^s, s = 16 - E, for every E within one
-# of the exponents [-4, 15] of 1e-4 <= |v| < 1e16
-_POW5 = np.array([5**s for s in range(22)], dtype=np.uint64)
+# 10^s for the scale s = 16 - E, for every E within one of the exponents
+# [-4, 15] of 1e-4 <= |v| < 1e16; each is exact (10^22 is the last that is)
+_POW10 = np.array([float(10**s) for s in range(23)])
 # column index of the (24, n) line buffer of _format_fixed
 _COLS = np.arange(24, dtype=np.int8)[:, None]
 
 
-def _round_scaled(m: np.ndarray, biased_exp: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """round-half-even(v * 10^(16-E)) for v = m * 2^(biased_exp - 1075), exactly.
+def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = x exactly, each of at most 26 significant bits."""
+    c = x * 134217729.0  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
 
-    m * 5^s (s = 16 - E <= 21) has at most 102 bits, so it is formed as a
-    128-bit product (H, L) of 32-bit limbs and shifted right by
-    sh = 1075 - biased_exp - s. Every operand is uint64: under numpy 1.x a
-    uint64 mixed with an int64 is promoted to float64.
+
+def _round_scaled(a: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10^(16-E)) for a > 0, exactly where it is at least 2^53.
+
+    Dekker's TwoProduct gives p = fl(a * b) and its error e = a * b - p,
+    both exactly, for b = 10^(16-E). At a * b >= 2^53, p is an even
+    integer, so rounding p + e half to even is p + rint(e). Below 2^53 the
+    result is within two of a * b, so it stays below 10^16 and the caller
+    computes the row again.
     """
-    s = 16 - E
-    sh = 1075 - biased_exp.astype(np.int64) - s
-    # where v * 10^s is an integer (sh <= 0), shift m up so that sh = 1
-    pre = np.maximum(1 - sh, 0)
-    m = m << pre.astype(np.uint64)
-    sh = (sh + pre).astype(np.uint64)
-    p = _POW5[s]
-    ml, mh = m & _LO32, m >> _U64(32)
-    pl, ph = p & _LO32, p >> _U64(32)
-    lo = ml * pl
-    mid = ml * ph + mh * pl
-    t = (lo >> _U64(32)) + (mid & _LO32)
-    L = (lo & _LO32) | (t << _U64(32))
-    H = mh * ph + (mid >> _U64(32)) + (t >> _U64(32))
-    q = (L >> sh) | (H << (_U64(64) - sh))
-    rem = L & ((_U64(1) << sh) - _U64(1))
-    half = _U64(1) << (sh - _U64(1))
-    q += (rem > half) | ((rem == half) & ((q & _U64(1)) == _U64(1)))
-    return q
+    b = _POW10[16 - E]
+    p = a * b
+    ah, al = _veltkamp(a)
+    bh, bl = _veltkamp(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 
 def _exponent_guess(a: np.ndarray) -> np.ndarray:
@@ -260,21 +250,19 @@ def _format_fixed(x: np.ndarray) -> bytes:
 
     In that range ".17g" is positional notation of the 17-digit significand
     N of v, 10^16 <= N < 10^17, with trailing zeros (and a bare point)
-    stripped. N and the exponent E are computed exactly in integers.
+    stripped. N is computed exactly in float64 arithmetic (see _round_scaled).
     """
     n = x.size
-    bits = x.view(np.uint64)
-    biased_exp = (bits >> _U64(52)) & _U64(0x7FF)
-    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
+    a = np.abs(x)
     # a guess one too high gives N < 10^16, one too low N >= 10^17 (= 10^17
     # also where v rounds up to 10^(E+1)); such rows are computed again
     # with E moved by one
-    E = _exponent_guess(np.abs(x))
-    N = _round_scaled(m, biased_exp, E)
-    off = np.flatnonzero((N < _TEN16) | (N >= _TEN17))
+    E = _exponent_guess(a)
+    N = _round_scaled(a, E)
+    off = np.flatnonzero((N < 10**16) | (N >= 10**17))
     if off.size:
-        E[off] += np.where(N[off] >= _TEN17, 1, -1)
-        N[off] = _round_scaled(m[off], biased_exp[off], E[off])
+        E[off] += np.where(N[off] >= 10**17, 1, -1)
+        N[off] = _round_scaled(a[off], E[off])
 
     # rows sorted by E, so that every layout below is one slice
     E = E.astype(np.int8)
@@ -286,8 +274,8 @@ def _format_fixed(x: np.ndarray) -> bytes:
     D = np.empty((17, n), dtype=np.uint8)
     k = np.full(n, 17, dtype=np.int8)
     zeros = np.ones(n, dtype=bool)
-    high = N // _TEN9
-    low = N - high * _TEN9
+    high = N // 10**9
+    low = N - high * 10**9
     ten = np.uint32(10)
     # uint32 halves: digits 8..16 from low, then 0..7 from high
     for w, places in ((low, range(16, 7, -1)), (high, range(7, -1, -1))):

@@ -73,21 +73,9 @@ class LaurentCoefficients:
     c1: float = (_EULER_GAMMA**2 + _PI_SQ_OVER_6) / 2.0
     c2: float = -(_EULER_GAMMA**3 + _EULER_GAMMA * math.pi**2 / 2.0 + 2.0 * _APERY) / 6.0
 
-    @classmethod
-    def from_constants(cls, constants: MathConstants = MathConstants()) -> "LaurentCoefficients":
-        g = constants.euler_gamma
-        z2 = constants.pi_sq_over_6
-        z3 = constants.apery
-        return cls(
-            c_minus1=1.0,
-            c0=-g,
-            c1=(g * g + z2) / 2.0,
-            c2=-(g**3 + g * (math.pi**2) / 2.0 + 2.0 * z3) / 6.0,
-        )
-
 
 CONSTANTS = MathConstants()
-LAURENT = LaurentCoefficients.from_constants(CONSTANTS)
+LAURENT = LaurentCoefficients()
 
 
 def gamma(z: float) -> float:

@@ -296,13 +296,20 @@ def neighbours(v, steps=2):
     return out
 
 
+def ties(s):
+    """Doubles v = m * 2^-(s+1), m odd, so that v * 10^s = m * 5^s / 2 is a tie in [10^16, 10^17)."""
+    lo, hi = -(-2 * 10**16 // 5**s), min(2 * 10**17 // 5**s, 2**53)
+    return [m * 2.0 ** -(s + 1) for m in range(lo | 1, hi, (hi - lo) // 5 & ~1)]
+
+
 # 17-digit positional values: around every power of ten in the range, where
 # the floor(log10) estimate of the exponent is off by one, and dyadic ties
-# that round half to even at the 17th digit
+# that round half to even at the 17th digit, at every exponent E = 16 - s
 POSITIONAL = sorted(
     {v for k in range(-4, 17) for v in neighbours(10.0**k) if 1e-4 <= v < 1e16}
     | {1 + 2.0**-17, 1 + 3 * 2.0**-17, 0.5 + 2.0**-18, 2.0**53 - 1, 2.0**53, 2.0**53 + 1,
        2.0**53 + 2, 0.1, 0.3, 1.0, 123.456, 9007199254740993.0 / 3}
+    | {v for s in range(1, 21) for v in ties(s)}
 )
 # everything else goes through the exponent-notation fallback
 FALLBACK = [0.0, -0.0, 5e-324, -5e-324, TINY_NORMAL, math.nextafter(TINY_NORMAL, 0.0),
