@@ -1,4 +1,11 @@
-"""Frechet extreme-value distribution moments and shape-parameter inference."""
+"""Frechet extreme-value distribution moments and shape-parameter inference.
+
+The moments, estimators and fit are plain float arithmetic and import only
+the standard library.  The sample layer (SamplerConfig, sample, read_samples,
+write_samples) needs numpy, so it is imported on first use of one of its names.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -42,7 +49,6 @@ from .frechet import (
     skewness,
     variance,
 )
-from .sampling_io import SamplerConfig, read_samples, sample, write_samples
 from .special_functions import (
     CONSTANTS,
     LAURENT,
@@ -70,3 +76,13 @@ __all__ = [
     "fit_location_scale", "sample_stats",
     "SamplerConfig", "sample", "read_samples", "write_samples",
 ]
+
+_SAMPLING_IO_NAMES = {"SamplerConfig", "sample", "read_samples", "write_samples"}
+
+
+def __getattr__(name):
+    # numpy takes most of the package's import time and only the sample layer uses it
+    if name == "sampling_io" or name in _SAMPLING_IO_NAMES:
+        module = importlib.import_module(".sampling_io", __name__)
+        return module if name == "sampling_io" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

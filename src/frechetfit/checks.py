@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 from scipy.integrate import quad
 
 from . import special_functions
+from .errors import PrecisionLossError
 from .frechet import (
     FrechetParams,
     FrechetShape,
@@ -76,8 +77,12 @@ def _check_moment_oracle(alpha_grid: Sequence[float]) -> CheckResult:
             ref = raw_moment_quad(alpha, k)
             worst = max(worst, abs(raw_moment(shape, k) - ref) / abs(ref))
             if k >= 2:
+                try:
+                    centered = centered_moment(shape, k)
+                except PrecisionLossError:  # no answer to check, as `moments` prints `-`
+                    continue
                 ref = centered_moment_quad(alpha, k)
-                worst = max(worst, abs(centered_moment(shape, k) - ref) / abs(ref))
+                worst = max(worst, abs(centered - ref) / abs(ref))
     return CheckResult("moment-oracle", worst <= 1e-7, worst, 1e-7)
 
 

@@ -73,7 +73,7 @@ def _cmd_moments(args) -> int:
     skew = skewness(shape)
     kurt = excess_kurtosis(shape)
 
-    undefined = f"undefined (k >= alpha)"
+    undefined = "undefined (k >= alpha)"
     rows = []
     for r in reports:
         rows.append([

@@ -26,14 +26,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DegenerateFitError, DomainError, InsufficientDataError, NoConvergenceError
 from .frechet import (
     FrechetParams,
     FrechetShape,
+    _binomial,
     _centered,
     _normalized,
+    _on_series,
     _skewness_reversion,
     _sum_reversion,
     _variance_reversion,
@@ -254,8 +254,12 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
     """Empirical moments; see SampleStats for the exact estimators.
 
     Whole-array numpy passes compute the mean, the deviations and their
-    squares, then the means of the second, third and fourth powers.
+    squares, then the means of the second, third and fourth powers.  numpy
+    is imported on the first call, so the estimators and the fit never load it.
     """
+    # numpy takes most of the package's import time; only this function here needs it
+    import numpy as np
+
     x = np.asarray(data, dtype=np.float64)
     n = int(x.size)
     if n < 2:
@@ -288,6 +292,21 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
     return SampleStats(count=n, mean=mean, variance=var, skewness=skew, excess_kurtosis=kurt)
 
 
+def _skewness_rounding(alpha: float) -> float:
+    """Relative rounding bound of skewness(alpha) where it comes from binomial Gamma sums.
+
+    Below alpha = 6 the third centered moment is a binomial sum, and below 4
+    the variance too, which enters as its 1.5th power.  Zero above alpha = 6,
+    where the series kernel is good to a few ulps.
+    """
+    bound = 0.0
+    for k, weight in ((3, 1.0), (2, 1.5)):
+        if not _on_series(alpha, k):
+            total, rounding = _binomial(alpha, k)
+            bound += weight * rounding / abs(total)
+    return bound
+
+
 def fit_location_scale(stats: SampleStats) -> FrechetParams:
     """Moment-matching fit: alpha from skewness, then scale and location.
 
@@ -296,15 +315,17 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     float64 sample skewness still pins alpha = 1e8 to about 1e-8.  `_root`
     solves 1/skewness(1/u) = 1/s in u = 1/alpha for alpha in [3 + 1e-9, 1e9],
     where both sides are bounded, to within 8 ulps of 1/s (the rounding of
-    the skewness near the root reaches 7 on the test grid).  Above alpha of
-    about 13 the seed is the reverted skewness series summed at s - s_inf, and
-    the solve stops at its first evaluation.  Below that it is the pole term
-    u0 = (1 - 1/(s V(1/3)^1.5))/3 of Gamma(1 - 3u), an upper bound on the root
-    there (checked, not proven; it is far closer than the tangent
-    (s - s_inf)/C1).  The chord from (0, s_inf) through (u0, skewness(u0))
-    meets s on the root's other side (also checked, not proven); `_root`
-    checks both signs and widens the bracket when a bound fails.  A skewness
-    it cannot match raises DegenerateFitError.
+    the skewness near the root reaches 7 on the test grid) or, if larger, the
+    rounding bound of its binomial Gamma sums at the seed (below alpha = 6,
+    up to about 1100 ulps), so the solve does not chase rounding noise.
+    Above alpha of about 13 the seed is the reverted skewness series summed
+    at s - s_inf, and the solve stops at its first evaluation.  Below that it
+    is the pole term u0 = (1 - 1/(s V(1/3)^1.5))/3 of Gamma(1 - 3u), an upper
+    bound on the root there (checked, not proven; it is far closer than the
+    tangent (s - s_inf)/C1).  The chord from (0, s_inf) through
+    (u0, skewness(u0)) meets s on the root's other side (also checked, not
+    proven); `_root` checks both signs and widens the bracket when a bound
+    fails.  A skewness it cannot match raises DegenerateFitError.
     """
     if stats.count < 3:
         raise InsufficientDataError(f"need at least 3 values, got {stats.count}")
@@ -317,11 +338,15 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     target = 1.0 / s
     f = lambda u: 1.0 / _normalized(1.0 / u, 3) - target
     s_inf, table = _skewness_reversion()
+    lo, hi = 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9)
+    ftol = 8.0 * math.ulp(target)
     u0 = _sum_reversion(table, s - s_inf)
     if u0 is None:  # the pole term, an upper bound on the root below alpha ~ 14.7
         u0 = (1.0 - 1.0 / (s * _POLE_SKEWNESS_SCALE)) / 3.0
+        # the reverted series seeds only alpha above about 12, where this bound is 0
+        ftol = max(ftol, target * _skewness_rounding(1.0 / min(max(u0, lo), hi)))
     chord = lambda u, fu: u * (s - s_inf) / (1.0 / (fu + target) - s_inf)
-    root = _root(f, u0, chord, 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9), 8.0 * math.ulp(target), 200)
+    root = _root(f, u0, chord, lo, hi, ftol, 200)
     if root is None:
         if s < skewness(FrechetShape(_ALPHA_MAX)):
             raise DegenerateFitError(

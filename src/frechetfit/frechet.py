@@ -167,11 +167,11 @@ def _normalized_from_series(u: float, k: int, s_k: float) -> float:
     return s_k / _kernel(2, u) ** (k / 2.0)
 
 
-def _centered(alpha: float, k: int) -> float:
-    """Centered moment of order k for k < alpha, without argument checks."""
-    if _on_series(alpha, k):
-        u = 1.0 / alpha
-        return _centered_from_series(u, k, _kernel(k, u))
+def _binomial(alpha: float, k: int) -> tuple:
+    """(sum_p C(k,p) (-Omega_1)^(k-p) Omega_p, its rounding bound) for k < alpha.
+
+    The rounding error of k + 1 alternating terms is about eps (k + 1) sum|term|.
+    """
     omega1 = gamma(1.0 - 1.0 / alpha)
     total = magnitude = 0.0
     for p in range(k + 1):
@@ -179,8 +179,16 @@ def _centered(alpha: float, k: int) -> float:
         term = math.comb(k, p) * omega1 ** (k - p) * omega_p
         total += term if (k - p) % 2 == 0 else -term
         magnitude += term  # every term is positive
-    # the rounding error of k + 1 alternating terms is about eps (k + 1) sum|term|
-    if math.ulp(1.0) * (k + 1) * magnitude > _MAX_ROUNDING * abs(total):
+    return total, math.ulp(1.0) * (k + 1) * magnitude
+
+
+def _centered(alpha: float, k: int) -> float:
+    """Centered moment of order k for k < alpha, without argument checks."""
+    if _on_series(alpha, k):
+        u = 1.0 / alpha
+        return _centered_from_series(u, k, _kernel(k, u))
+    total, rounding = _binomial(alpha, k)
+    if rounding > _MAX_ROUNDING * abs(total):
         raise PrecisionLossError(
             f"centered moment of order {k} at alpha = {alpha} is lost to cancellation: "
             f"the binomial sum of Gamma values keeps fewer than 6 reliable digits"

@@ -279,6 +279,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--alpha-grid", "5")
         assert code == 0
 
+    def test_alpha_grid_skips_orders_lost_to_cancellation(self, capsys):
+        # at alpha = 25 the binomial sum raises PrecisionLossError from order 13;
+        # the oracle skips those orders, as `moments` prints `-` for them
+        code, out, err = run(capsys, "check", "--alpha-grid", "25")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
+        assert err == ""
+
     def test_json_clean_build(self, capsys):
         code, out, _ = run(capsys, "check", "--format", "json")
         assert code == 0
@@ -373,6 +381,32 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["False", "0 []"]
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # the moments, estimators and fit are scalar code: numpy loads only with
+    # the sample layer, on the first read of one of its names
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    code = "\n".join([
+        "import sys, frechetfit as ff",
+        "v = ff.shape_variance(5.0)",
+        "for estimate in (ff.alpha_order1, ff.alpha_order2, ff.alpha_exact):",
+        "    estimate(v)",
+        "shape = ff.FrechetShape(5.0)",
+        "ff.moment_report(shape, 3)",
+        "s = ff.skewness(shape)",
+        "ff.fit_location_scale(ff.SampleStats(1000, 1.0, v, s, 30.0))",
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')))",
+        "print(ff.read_samples is ff.sampling_io.read_samples, 'numpy' in sys.modules)",
+        "try:",
+        "    ff.no_such_name",
+        "except AttributeError as exc:",
+        "    print(exc)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "[]", "True True", "module 'frechetfit' has no attribute 'no_such_name'",
+    ]
 
 
 class TestVersion:
