@@ -153,8 +153,6 @@ def _cmd_sample(args) -> int:
     params = FrechetParams(args.location, args.scale, args.alpha)
     config = SamplerConfig(seed=args.seed, count=args.count, params=params)
     values = sample(config)
-    # before the write: the stats' temporaries then reuse the sample's
-    # freed memory instead of growing the heap the write has filled
     stats = sample_stats(values) if args.count >= 2 else None
     write_samples(args.output, values)
     if args.format == "json":

@@ -250,27 +250,51 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     return EstimateResult(alpha, Method.EXACT_ROOT, v * abs(math.expm1(log_ratio)), evaluations)
 
 
+def _fsum_finite(parts: list[float]) -> float:
+    """math.fsum of finite block sums; inf where a part or the sum is not finite.
+
+    fsum itself raises ValueError on inf + -inf and OverflowError where a
+    sum of finite parts overflows.
+    """
+    if not all(map(math.isfinite, parts)):
+        return math.inf
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        return math.inf
+
+
 def sample_stats(data: Sequence[float]) -> SampleStats:
     """Empirical moments; see SampleStats for the exact estimators.
 
-    Whole-array numpy passes compute the mean, the deviations and their
-    squares, then the means of the second, third and fourth powers.  numpy
-    is imported on the first call, so the estimators and the fit never load it.
+    One numpy pass gives the mean.  The deviations from it and their second,
+    third and fourth powers are then formed one block of sampling_io._CHUNK
+    values at a time, so only a block of them is held, and math.fsum adds
+    the blocks' sums.  numpy is imported on the first call, so the
+    estimators and the fit never load it.
     """
     # numpy takes most of the package's import time; only this function here needs it
     import numpy as np
 
-    x = np.asarray(data, dtype=np.float64)
+    from .sampling_io import _CHUNK
+
+    x = np.asarray(data, dtype=np.float64).reshape(-1)
     n = int(x.size)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
+    s2: list[float] = []
+    s3: list[float] = []
+    s4: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(x.mean())
-        d = x - mean
-        d2 = d * d
-        m2 = float(np.mean(d2))
-        m3 = float(np.mean(d2 * d))
-        m4 = float(np.mean(d2 * d2))
+        for start in range(0, n, _CHUNK):
+            d = x[start:start + _CHUNK] - mean
+            d2 = d * d
+            s2.append(float(d2.sum()))
+            s3.append(float((d2 * d).sum()))
+            d2 *= d2
+            s4.append(float(d2.sum()))
+    m2, m3, m4 = (_fsum_finite(parts) / n for parts in (s2, s3, s4))
     if not (math.isfinite(m2) and math.isfinite(m3) and math.isfinite(m4)):
         if not np.isfinite(x).all():
             raise DomainError("the sample holds a nan or infinite value")

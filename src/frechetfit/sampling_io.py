@@ -11,8 +11,9 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .errors import DomainError, EmptyInputError, ParseError
 from .frechet import FrechetParams
 
 __all__ = ["SamplerConfig", "sample", "read_samples", "write_samples"]
+
+# Values per block of the sampler, of sample_stats and of each fh.write, and
+# bytes per read of the reader's checks; a block's buffers stay under a megabyte.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -43,26 +48,31 @@ def sample(config: SamplerConfig) -> np.ndarray:
     Raises DomainError, with no numpy warning, when a draw overflows float64.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    bits = rng.integers(0, 2**64, size=config.count, dtype=np.uint64)
-    bits >>= np.uint64(11)
-    x = bits.astype(np.float64)
-    del bits
-    # the same operations, in the same order, as the expression in the
-    # docstring, done in place so that only x and the draws are held
-    x += 0.5
-    x *= 2.0**-53
-    np.log(x, out=x)
-    np.negative(x, out=x)
     p = config.params
-    with np.errstate(over="ignore", invalid="ignore"):
-        x **= -1.0 / p.alpha
-        x *= p.scale
-        x += p.location
-    if not np.isfinite(x).all():
-        raise DomainError(
-            f"the sample overflows float64: location {p.location!r}, scale {p.scale!r} "
-            f"and alpha {p.alpha!r} give draws that are not all finite"
-        )
+    x = np.empty(config.count, dtype=np.float64)
+    # block by block, so that only x and one block of draws are held; a
+    # full-range uint64 draw is the raw PCG64 stream, so consecutive blocks
+    # give the same words as one draw of `count`
+    for start in range(0, config.count, _CHUNK):
+        b = x[start:start + _CHUNK]
+        bits = rng.integers(0, 2**64, size=b.size, dtype=np.uint64)
+        bits >>= np.uint64(11)
+        b[:] = bits
+        # the same operations, in the same order, as the expression in the
+        # docstring, done in place
+        b += 0.5
+        b *= 2.0**-53
+        np.log(b, out=b)
+        np.negative(b, out=b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b **= -1.0 / p.alpha
+            b *= p.scale
+            b += p.location
+        if not np.isfinite(b).all():
+            raise DomainError(
+                f"the sample overflows float64: location {p.location!r}, scale {p.scale!r} "
+                f"and alpha {p.alpha!r} give draws that are not all finite"
+            )
     return x
 
 
@@ -124,16 +134,23 @@ def _scan(text: str, column: Optional[str]) -> list[float]:
 _SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _loadtxt_plan(data: bytes, column: Optional[str]) -> Optional[tuple[int, int]]:
-    """The (skiprows, usecols) with which np.loadtxt reads `data` as _scan does.
+def _loadtxt_plan(
+    open_binary: Callable[[], BinaryIO], column: Optional[str]
+) -> Optional[tuple[int, int]]:
+    """The (skiprows, usecols) with which np.loadtxt reads the stream as _scan does.
 
-    Returns None where np.loadtxt could split lines or fields differently:
-    non-ASCII text, line breaks that only str.splitlines knows, and any
-    comma, since _split drops the empty comma fields that np.loadtxt counts.
+    `open_binary` opens the bytes afresh on each call.  The first pass reads
+    them in blocks of _CHUNK bytes and returns None where np.loadtxt could
+    split lines or fields differently: non-ASCII text, line breaks that only
+    str.splitlines knows, and any comma, since _split drops the empty comma
+    fields that np.loadtxt counts.  The second reads lines up to the first
+    non-blank one, which is the header or the first value.
     """
-    if b"," in data or not data.isascii() or any(b in data for b in _SPLITLINES_ONLY_BREAKS):
-        return None
-    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
+    with open_binary() as fh:
+        for block in iter(partial(fh.read, _CHUNK), b""):
+            if b"," in block or not block.isascii() or any(b in block for b in _SPLITLINES_ONLY_BREAKS):
+                return None
+    with io.TextIOWrapper(open_binary(), encoding="ascii") as fh:
         for lineno, line in enumerate(iter(fh.readline, ""), start=1):
             tokens = _split(line)
             if tokens:
@@ -176,21 +193,24 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     ParseError with its line number; bytes that do not decode in the locale
     encoding raise ParseError too.
 
-    One np.loadtxt call reads a whitespace-delimited ASCII file; comma
-    files, other text, and files where that call fails go to the line
-    scanner, which also reports the offending line.
+    One np.loadtxt call reads a whitespace-delimited ASCII file, after
+    block reads of it have checked that format, so that a regular file is
+    held only as the returned array; comma files, other text, and files
+    where that call fails are read whole and go to the line scanner, which
+    also reports the offending line.  A pipe, which can be read only once,
+    is read whole first.
     """
-    data = Path(path).read_bytes()
-    plan = _loadtxt_plan(data, column)
+    if Path(path).is_file():
+        data, open_binary = None, partial(open, path, "rb")
+    else:
+        # a pipe can be read only once
+        data = Path(path).read_bytes()
+        open_binary = partial(io.BytesIO, data)
+    plan = _loadtxt_plan(open_binary, column)
     values = None
     if plan is not None:
-        if Path(path).is_file():
-            # np.loadtxt reads a file faster than text held in memory, and the
-            # bytes are freed before the parse, which bounds peak memory
-            source, data = path, None
-        else:
-            # a pipe can be read only once
-            source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+        # np.loadtxt reads a file faster than text held in memory
+        source = path if data is None else io.TextIOWrapper(open_binary(), encoding="ascii")
         values = _load(source, *plan)
     if values is None:
         if data is None:
@@ -205,9 +225,6 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
         raise EmptyInputError(f"no data values found in {path}")
     return values
 
-
-# Values per fh.write; a chunk's buffers stay under a megabyte.
-_CHUNK = 1 << 15
 
 # 10^s for the scale s = 16 - E, for every E within one of the exponents
 # [-4, 15] of 1e-4 <= |v| < 1e16; each is exact (10^22 is the last that is)

@@ -29,6 +29,7 @@ from frechetfit import (
     SamplerConfig,
 )
 from frechetfit import estimation, frechet
+from frechetfit.sampling_io import _CHUNK
 
 TABLE_VARIANCES = (0.133761, 0.0222624, 0.000694362, 0.000168916)
 TABLE_ORDER1 = (3.51, 8.60, 48.67, 98.68)
@@ -409,6 +410,38 @@ class TestSampleStats:
     def test_non_finite_value(self):
         with pytest.raises(DomainError, match="nan or infinite"):
             sample_stats([1.0, math.inf, 2.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_spread_overflowing_only_across_blocks(self):
+        # a^4 = 3.0e303: each block's sum of fourth powers is finite, the three's is not
+        a = 7.4e75
+        x = np.tile([a, -a], 3 * _CHUNK // 2)
+        assert math.isfinite(float(np.sum(x[:_CHUNK] ** 4)))
+        with pytest.raises(DomainError, match="spread overflows float64"):
+            sample_stats(x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_opposite_infinite_block_sums(self):
+        # the cubes' block sums are +inf and -inf, which math.fsum cannot add
+        b = 1e110
+        x = np.concatenate([np.full(_CHUNK, b), np.full(_CHUNK, -b)])
+        with pytest.raises(DomainError, match="spread overflows float64"):
+            sample_stats(x)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.5, 10.0])
+    def test_central_moments_match_fsum(self, alpha):
+        n = 3 * _CHUNK + 5
+        x = sample(SamplerConfig(seed=8, count=n, params=FrechetParams(0.0, 1.0, alpha)))
+        s = sample_stats(x)
+        # m2, m3 and m4 back from the estimators of SampleStats
+        m2 = s.variance * (n - 1) / n
+        m3 = s.skewness * m2**1.5 * (n - 2) / math.sqrt(n * (n - 1))
+        m4 = (s.excess_kurtosis * (n - 2) * (n - 3) / ((n + 1) * (n - 1)) + 3.0 * (n - 1) / (n + 1)) * m2**2
+        d = x - s.mean
+        d2 = d * d
+        for m, power in ((m2, d2), (m3, d2 * d), (m4, d2 * d2)):
+            reference = math.fsum(power.tolist()) / n
+            assert abs(m - reference) <= 1e-13 * math.fsum(np.abs(power).tolist()) / n
 
     def test_seeded_samples_match_table_variance(self):
         n = 100_000

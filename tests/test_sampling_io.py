@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -28,6 +29,33 @@ def config(alpha=5.0, m=0.0, s=1.0, seed=42, count=1000):
     return SamplerConfig(seed=seed, count=count, params=FrechetParams(m, s, alpha))
 
 
+def expression(alpha, m, s, seed, count):
+    """The sampler's docstring expression, on one whole-array draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    with np.errstate(over="ignore"):
+        return m + s * (-np.log(u)) ** (-1.0 / alpha)
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the most bytes it added to the traced heap, its result included.
+
+    numpy reports its array buffers to tracemalloc.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestSampler:
     def test_determinism(self):
         a = sample(config())
@@ -43,13 +71,11 @@ class TestSampler:
 
     @pytest.mark.parametrize("alpha", [1.0, 3.7])
     def test_matches_expression_bit_for_bit(self, alpha):
-        m, s, count, seed = 0.5, 2.0, 5000, 3
-        rng = np.random.Generator(np.random.PCG64(seed))
-        bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
-        u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        expected = m + s * (-np.log(u)) ** (-1.0 / alpha)
-        x = sample(config(alpha=alpha, m=m, s=s, seed=seed, count=count))
-        assert x.tobytes() == expected.tobytes()
+        m, s, seed = 0.5, 2.0, 3
+        # the sampler draws block by block; every split of the last block
+        for count in (5000, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17):
+            x = sample(config(alpha=alpha, m=m, s=s, seed=seed, count=count))
+            assert x.tobytes() == expression(alpha, m, s, seed, count).tobytes(), count
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
@@ -60,6 +86,15 @@ class TestSampler:
     def test_overflow_is_domain_error_without_warnings(self, alpha, m, s):
         with pytest.raises(DomainError, match="overflows float64"):
             sample(config(alpha=alpha, m=m, s=s, count=100))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_a_late_block_is_domain_error(self):
+        # with seed 7 the draws of the first block stay finite at this scale
+        alpha, m, s, seed, count = 1.0, 0.0, 1e304, 7, 4 * _CHUNK
+        expected = expression(alpha, m, s, seed, count)
+        assert np.isfinite(expected[:_CHUNK]).all() and not np.isfinite(expected).all()
+        with pytest.raises(DomainError, match="overflows float64"):
+            sample(config(alpha=alpha, m=m, s=s, seed=seed, count=count))
 
     def test_empirical_cdf_at_median(self):
         d = FrechetParams(0.0, 1.0, 2.0)
@@ -225,6 +260,56 @@ class TestReadSamples:
         expected = outcome(lambda: _scan(text, column))
         assert outcome(lambda: read_samples(p, column=column)) == expected
 
+    # more than one read block of plain lines before the line under test
+    LEAD = "1.0\n" * (_CHUNK // 4 + 10)
+
+    @pytest.mark.parametrize(
+        "late",
+        [
+            "2.5,\n",  # a comma
+            "2.5\u00a0\n",  # a non-ASCII space
+            "2.5\x0b3.5\n",  # a line break only str.splitlines knows
+            "2.5\u00e9\n",  # a non-ASCII letter: ParseError
+            "a,b\n",  # ParseError
+        ],
+        ids=["comma", "nbsp", "vt", "letter", "comma-letters"],
+    )
+    def test_late_byte_routes_to_scanner(self, tmp_path, monkeypatch, late):
+        text = self.LEAD + late + "3.0\n"
+        assert len(self.LEAD.encode()) > _CHUNK
+
+        def no_loadtxt(*args):
+            pytest.fail("np.loadtxt was given a file that the scanner must read")
+
+        monkeypatch.setattr(sampling_io, "_load", no_loadtxt)
+        p = tmp_path / "late.txt"
+        p.write_text(text)
+
+        def outcome(read):
+            try:
+                return [float(v) for v in read()]
+            except ParseError as exc:
+                return exc.line
+
+        assert outcome(lambda: read_samples(p)) == outcome(lambda: _scan(text, None))
+
+    @pytest.mark.parametrize(
+        "blank, rest, column, expected",
+        [
+            (" " + "\r\n" * _CHUNK, "value\n1.5\n2.5\n", None, [1.5, 2.5]),
+            (" " + "\r\n" * _CHUNK, "t value\n0 1.5\n1 2.5\n", "value", [1.5, 2.5]),
+            (" \t \n" * _CHUNK, "1.5\n2.5\n", None, [1.5, 2.5]),
+            ("\r" * (2 * _CHUNK), "value\r1.5\r\r2.5\r", "value", [1.5, 2.5]),
+        ],
+    )
+    def test_header_after_first_block(self, tmp_path, monkeypatch, blank, rest, column, expected):
+        # np.loadtxt reads these; a wrong header line number would send them to the scanner
+        monkeypatch.setattr(sampling_io, "_scan", None)
+        p = tmp_path / "lead.txt"
+        p.write_bytes((blank + rest).encode())
+        assert len(blank) > _CHUNK
+        assert read_samples(p, column=column).tolist() == expected
+
     def test_parse_error_with_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1.0\nabc\n")
@@ -379,3 +464,32 @@ class TestWriteSamples:
     )
     def test_matches_format_property_positional(self, tmp_path_factory, x):
         assert written(tmp_path_factory.mktemp("w"), x) == dot17g(x)
+
+
+class TestPeakMemory:
+    """Each pass over a sample holds its result plus a fixed block of scratch."""
+
+    N = 300_000
+    SCRATCH = 2_000_000
+
+    def test_sample(self):
+        sample(config(count=10))  # numpy's first-call set-up
+        x, peak = traced_peak(sample, config(count=self.N))
+        assert peak <= x.nbytes + self.SCRATCH
+
+    def test_sample_stats(self):
+        from frechetfit import sample_stats
+
+        sample_stats(sample(config(count=10)))
+        x = sample(config(count=self.N))
+        _, peak = traced_peak(sample_stats, x)
+        assert peak <= self.SCRATCH
+
+    def test_read_samples(self, tmp_path):
+        small, p = tmp_path / "small.txt", tmp_path / "big.txt"
+        write_samples(small, sample(config(count=10)))
+        read_samples(small)
+        write_samples(p, sample(config(count=self.N)))
+        x, peak = traced_peak(read_samples, p)
+        assert x.size == self.N
+        assert peak <= x.nbytes + self.SCRATCH
