@@ -269,9 +269,9 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
 
     One numpy pass gives the mean.  The deviations from it and their second,
     third and fourth powers are then formed one block of sampling_io._CHUNK
-    values at a time, so only a block of them is held, and math.fsum adds
-    the blocks' sums.  numpy is imported on the first call, so the
-    estimators and the fit never load it.
+    values at a time, in two buffers of a block that every block reuses, and
+    math.fsum adds the blocks' sums.  numpy is imported on the first call, so
+    the estimators and the fit never load it.
     """
     # numpy takes most of the package's import time; only this function here needs it
     import numpy as np
@@ -285,13 +285,16 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
     s2: list[float] = []
     s3: list[float] = []
     s4: list[float] = []
+    buffers = np.empty((2, min(n, _CHUNK)))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(x.mean())
         for start in range(0, n, _CHUNK):
-            d = x[start:start + _CHUNK] - mean
-            d2 = d * d
+            block = x[start:start + _CHUNK]
+            d, d2 = buffers[:, :block.size]
+            np.subtract(block, mean, out=d)
+            np.multiply(d, d, out=d2)
             s2.append(float(d2.sum()))
-            s3.append(float((d2 * d).sum()))
+            s3.append(float(np.multiply(d2, d, out=d).sum()))
             d2 *= d2
             s4.append(float(d2.sum()))
     m2, m3, m4 = (_fsum_finite(parts) / n for parts in (s2, s3, s4))

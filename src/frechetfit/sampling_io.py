@@ -1,10 +1,12 @@
 """Reproducible inverse-CDF sampling and plain-text sample ingestion.
 
-The uniform source is numpy's PCG64 pinned by seed; raw 64-bit outputs are
-mapped to the open interval (0, 1) as (top53bits + 0.5) / 2^53 so the log in
-the inverse transform never sees 0 or 1.  The text format is one value per
-line (optional single header line; comma or whitespace delimited columns),
-written with 17 significant digits for lossless round trips.
+The uniform source is numpy's PCG64 pinned by seed.  Each raw 64-bit output
+becomes u = (top53bits + 0.5) / 2^53 in the open interval (0, 1), so the log
+in the inverse transform never sees 0 or 1: that is Generator.random(), which
+is top53bits / 2^53, plus 2^-54, a sum that is exact or rounds half to even
+as top53bits + 0.5 does.  The text format is one value per line (optional
+single header line; comma or whitespace delimited columns), written with 17
+significant digits for lossless round trips.
 """
 
 import io
@@ -50,18 +52,13 @@ def sample(config: SamplerConfig) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     p = config.params
     x = np.empty(config.count, dtype=np.float64)
-    # block by block, so that only x and one block of draws are held; a
-    # full-range uint64 draw is the raw PCG64 stream, so consecutive blocks
-    # give the same words as one draw of `count`
+    # block by block, in place in x; PCG64 makes each double from one word
+    # of its stream, so consecutive blocks give the same draws as one of `count`
     for start in range(0, config.count, _CHUNK):
         b = x[start:start + _CHUNK]
-        bits = rng.integers(0, 2**64, size=b.size, dtype=np.uint64)
-        bits >>= np.uint64(11)
-        b[:] = bits
-        # the same operations, in the same order, as the expression in the
-        # docstring, done in place
-        b += 0.5
-        b *= 2.0**-53
+        # u = random() + 2^-54, the module docstring's mapping
+        rng.random(out=b)
+        b += 2.0**-54
         np.log(b, out=b)
         np.negative(b, out=b)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -229,113 +226,187 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
 # 10^s for the scale s = 16 - E, for every E within one of the exponents
 # [-4, 15] of 1e-4 <= |v| < 1e16; each is exact (10^22 is the last that is)
 _POW10 = np.array([float(10**s) for s in range(23)])
-# column index of the (24, n) line buffer of _format_fixed
-_COLS = np.arange(24, dtype=np.int8)[:, None]
+# a row's sort key in _format_fixed is E << _ROW_BITS plus its index in the chunk
+_ROW_BITS = (_CHUNK - 1).bit_length()
+# the keys at which the rows of each exponent E in [-4, 15] start, and one past
+_GROUP_KEYS = np.arange(-4, 17) << _ROW_BITS
 
 
-def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) with hi + lo = x exactly, each of at most 26 significant bits."""
-    c = x * 134217729.0  # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
+class _Workspace:
+    """The buffers of one write_samples call, each for up to `size` values.
+
+    A chunk of n values works in views [:n] of them, so every chunk reuses
+    the same pages: fresh temporaries past glibc's mmap threshold would be
+    handed back to the kernel after each chunk and faulted in again.
+    """
+
+    def __init__(self, size: int):
+        self.a = np.empty(size)
+        self.f = np.empty((6, size))
+        self.i = np.empty((4, size), dtype=np.int64)
+        self.u = np.empty((3, size), dtype=np.uint32)
+        self.masks = np.empty((2, size), dtype=bool)
+        self.kept = np.empty(size, dtype=np.int8)
+        self.digits = np.empty((17, size), dtype=np.uint8)
+        self.text = np.empty((22, size), dtype=np.uint8)
+        # a line is at most 24 bytes; one lead byte before the first line,
+        # and room for the stray bytes after the last (see _format_fixed)
+        self.out = np.empty(24 * size + 24, dtype=np.uint8)
+        self.rows = np.arange(size)
 
 
-def _round_scaled(a: np.ndarray, E: np.ndarray) -> np.ndarray:
+def _veltkamp(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Split x into hi + lo = x exactly, each of at most 26 significant bits."""
+    np.multiply(x, 134217729.0, out=hi)  # c = x * (2^27 + 1)
+    np.subtract(hi, x, out=lo)
+    np.subtract(hi, lo, out=hi)  # c - (c - x)
+    np.subtract(x, hi, out=lo)
+
+
+def _round_scaled(a: np.ndarray, E: np.ndarray, out: np.ndarray, f: np.ndarray) -> np.ndarray:
     """round-half-even(a * 10^(16-E)) for a > 0, exactly where it is at least 2^53.
 
     Dekker's TwoProduct gives p = fl(a * b) and its error e = a * b - p,
     both exactly, for b = 10^(16-E). At a * b >= 2^53, p is an even
     integer, so rounding p + e half to even is p + rint(e). Below 2^53 the
     result is within two of a * b, so it stays below 10^16 and the caller
-    computes the row again.
+    computes the row again. The result goes into the int64 `out`; f holds
+    six float64 rows of scratch like a.
     """
-    b = _POW10[16 - E]
-    p = a * b
-    ah, al = _veltkamp(a)
-    bh, bl = _veltkamp(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+    b, p, ah, al, bh, bl = f
+    # mode="clip" writes straight into b, where "raise" would buffer; every index is in range
+    np.take(_POW10, np.subtract(16, E, out=out), out=b, mode="clip")
+    np.multiply(a, b, out=p)
+    _veltkamp(a, ah, al)
+    _veltkamp(b, bh, bl)
+    # e = ((ah * bh - p) + ah * bl + al * bh) + al * bl, each product
+    # into a factor that is spent
+    e = np.multiply(ah, bh, out=b)
+    e -= p
+    e += np.multiply(ah, bl, out=ah)
+    e += np.multiply(al, bh, out=bh)
+    e += np.multiply(al, bl, out=bl)
+    # in int64: p + rint(e) can take 57 bits
+    out[...] = p
+    return np.add(out, np.rint(e, out=e), out=out, dtype=np.int64, casting="unsafe")
 
 
-def _exponent_guess(a: np.ndarray) -> np.ndarray:
-    """floor(log10 a) for 1e-4 <= a < 1e16; it may be one off next to a power of ten."""
-    return np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+def _exponent_guess(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """floor(log10 a) for 1e-4 <= a < 1e16, into the float64 `out`.
+
+    It may be one off next to a power of ten.
+    """
+    np.floor(np.log10(a, out=out), out=out)
+    return np.clip(out, -4, 15, out=out)
 
 
-def _format_fixed(x: np.ndarray) -> bytes:
-    """format(v, ".17g") + "\n" for each v, all with 1e-4 <= |v| < 1e16.
+def _format_fixed(x: np.ndarray, a: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """format(v, ".17g") + "\n" for each v, all with 1e-4 <= |v| < 1e16, as bytes in ws.out.
 
     In that range ".17g" is positional notation of the 17-digit significand
     N of v, 10^16 <= N < 10^17, with trailing zeros (and a bare point)
     stripped. N is computed exactly in float64 arithmetic (see _round_scaled).
+    a = |x|; every other intermediate is a view of ws.
     """
     n = x.size
-    a = np.abs(x)
+    f = ws.f[:, :n]
+    i0, i1, order, width = ws.i[:, :n]
+    low, high = ws.masks[:, :n]
+
     # a guess one too high gives N < 10^16, one too low N >= 10^17 (= 10^17
-    # also where v rounds up to 10^(E+1)); such rows are computed again
-    # with E moved by one
-    E = _exponent_guess(a)
-    N = _round_scaled(a, E)
-    off = np.flatnonzero((N < 10**16) | (N >= 10**17))
-    if off.size:
+    # also where v rounds up to 10^(E+1)); such rows, few in any sample,
+    # are computed again with E moved by one
+    E = i0
+    E[...] = _exponent_guess(a, f[0])
+    N = _round_scaled(a, E, i1, f)
+    np.less(N, 10**16, out=low)
+    low |= np.greater_equal(N, 10**17, out=high)
+    if low.any():
+        off = np.flatnonzero(low)
         E[off] += np.where(N[off] >= 10**17, 1, -1)
-        N[off] = _round_scaled(a[off], E[off])
+        N[off] = _round_scaled(a[off], E[off], np.empty(off.size, dtype=np.int64), f[:, :off.size])
 
-    # rows sorted by E, so that every layout below is one slice
-    E = E.astype(np.int8)
-    order = np.argsort(E, kind="stable")
-    E, N = E[order], N[order]
+    # rows sorted by E, so that every layout below is one slice; the key
+    # E << _ROW_BITS plus the row's index sorts stably in place
+    np.left_shift(E, _ROW_BITS, out=order)
+    order += ws.rows[:n]
+    order.sort()
+    bounds = np.searchsorted(order, _GROUP_KEYS).tolist()
+    order &= (1 << _ROW_BITS) - 1
+    N = np.take(N, order, out=i0, mode="clip")
 
-    # D[j] = digit j of N (most significant first), as ASCII; k = digits
+    # D[j] = digit j of N (most significant first), as ASCII; kept = digits
     # kept after the trailing zeros are stripped
-    D = np.empty((17, n), dtype=np.uint8)
-    k = np.full(n, 17, dtype=np.int8)
-    zeros = np.ones(n, dtype=bool)
-    high = N // 10**9
-    low = N - high * 10**9
+    D = ws.digits[:, :n]
+    kept = ws.kept[:n]
+    kept.fill(17)
+    zeros, flag = low, high
+    zeros.fill(True)
+    high_half = np.floor_divide(N, 10**9, out=i1)
+    low_half = np.subtract(N, np.multiply(high_half, 10**9, out=width), out=i0)
+    w, q, t = ws.u[:, :n]
     ten = np.uint32(10)
     # uint32 halves: digits 8..16 from low, then 0..7 from high
-    for w, places in ((low, range(16, 7, -1)), (high, range(7, -1, -1))):
-        w = w.astype(np.uint32)
+    for half, places in ((low_half, range(16, 7, -1)), (high_half, range(7, -1, -1))):
+        w[...] = half
         for j in places:
-            q = w // ten
-            D[j] = w - q * ten
-            w = q
-            zeros &= D[j] == 0
-            k -= zeros
+            np.floor_divide(w, ten, out=q)
+            D[j] = np.subtract(w, np.multiply(q, ten, out=t), out=t)
+            w, q = q, w
+            zeros &= np.equal(t, 0, out=flag)
+            kept -= zeros
     D += ord("0")
 
-    # line buffer, one column per line: row 0 sign, rows 1..22 text,
-    # row 23 newline; a zero byte is dropped by the final translate
-    T = np.empty((24, n), dtype=np.uint8)
-    width = np.empty(n, dtype=np.int8)
-    starts = np.flatnonzero(np.diff(E)) + 1
-    for a, b in zip([0, *starts.tolist()], [*starts.tolist(), n]):
-        e = int(E[a])
-        kept = k[a:b]
+    # T[c] = character c of each line's text after its sign; the rows past
+    # a line's width hold stale bytes, which the scatters below overwrite
+    T = ws.text[:, :n]
+    for e, lo, hi in zip(range(-4, 16), bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        s = slice(lo, hi)
         if e >= 0:  # d0..de "." d(e+1)..d16
-            T[1:e + 2, a:b] = D[:e + 1, a:b]
-            T[e + 2, a:b] = ord(".")
-            T[e + 3:19, a:b] = D[e + 1:, a:b]
-            width[a:b] = np.where(kept <= e + 1, e + 1, kept + 1)
+            T[:e + 1, s] = D[:e + 1, s]
+            T[e + 1, s] = ord(".")
+            T[e + 2:18, s] = D[e + 1:, s]
+            # the point only where a kept digit follows it
+            np.maximum(kept[s], e + 1, out=width[s])
+            width[s] += np.greater(kept[s], e + 1, out=flag[s])
         else:  # "0." then -e-1 zeros, then d0..d16
-            T[1, a:b] = ord("0")
-            T[2, a:b] = ord(".")
-            T[3:2 - e, a:b] = ord("0")
-            T[2 - e:19 - e, a:b] = D[:, a:b]
-            width[a:b] = 1 - e + kept
-    T *= _COLS <= width
-    T[0] = np.where(x[order] < 0, ord("-"), 0)
-    T[23] = ord("\n")
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.arange(n)
-    return np.take(T, inverse, axis=1).T.tobytes().translate(None, b"\0")
+            T[0, s] = ord("0")
+            T[1, s] = ord(".")
+            T[2:1 - e, s] = ord("0")
+            T[1 - e:18 - e, s] = D[:, s]
+            np.add(kept[s], 1 - e, out=width[s])
+
+    # every line goes to its place in file order by scatters into ws.out,
+    # whose byte 0 only precedes the first line: the columns of T from the
+    # last to the first, then the signs, then the newlines. A column past a
+    # line's width lands on or after that line's newline, on a byte that a
+    # later scatter overwrites: the newline, or a smaller column of a later
+    # line. A positive line's sign lands on the newline before it, or byte 0
+    neg = zeros
+    np.less(np.take(x, order, out=f[0], mode="clip"), 0, out=neg)
+    lengths = np.add(width, neg, out=i1)
+    lengths += 1
+    i0[order] = lengths  # in file order
+    ends = np.cumsum(i0, out=i1)  # = the index of each newline in ws.out
+    total = int(ends[-1])
+    newlines = np.take(ends, order, out=i0, mode="clip")
+    columns = int(width.max())
+    sign = np.subtract(newlines, width, out=width)
+    sign -= 1
+    out = ws.out
+    for c in range(columns - 1, -1, -1):
+        out[c + 1:][sign] = T[c]
+    out[sign] = ord("-")
+    out[newlines] = ord("\n")
+    return out[1:total + 1]
 
 
-def _format_chunk(x: np.ndarray) -> bytes:
-    a = np.abs(x)
-    if ((a >= 1e-4) & (a < 1e16)).all():
-        return _format_fixed(x)
+def _format_chunk(x: np.ndarray, ws: _Workspace) -> Union[np.ndarray, bytes]:
+    a = np.abs(x, out=ws.a[:x.size])
+    if a.min() >= 1e-4 and a.max() < 1e16:
+        return _format_fixed(x, a, ws)
     # zero, subnormals and exponent notation: the routine format() uses
     return (("%.17g\n" * x.size) % tuple(x.tolist())).encode("ascii")
 
@@ -345,13 +416,14 @@ def write_samples(path: Union[str, Path], values: Sequence[float]) -> None:
 
     The file holds exactly the bytes of format(v, ".17g") + "\n" for each
     value, taken as a float64. A nan or infinite value raises DomainError
-    before the file is opened.
+    before the file is opened. The chunks of _CHUNK values are formatted
+    in one workspace, allocated per call.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        i = int(bad[0])
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x)))
         raise DomainError(f"cannot write non-finite value {float(x[i])!r} at index {i}")
+    ws = _Workspace(min(x.size, _CHUNK))
     with open(path, "wb") as fh:
         for start in range(0, x.size, _CHUNK):
-            fh.write(_format_chunk(x[start:start + _CHUNK]))
+            fh.write(_format_chunk(x[start:start + _CHUNK], ws))
