@@ -8,8 +8,7 @@ never call the closed forms they validate.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from scipy.integrate import quad
 
@@ -30,8 +29,7 @@ __all__ = ["CheckResult", "run_checks", "quad_full", "raw_moment_quad", "centere
 _QUAD_OPTS = dict(limit=400, epsabs=1e-12, epsrel=1e-10)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float

@@ -19,12 +19,13 @@ series in sqrt(V), and the skewness series reverted in skewness - s_inf
 about 11 and 13 respectively they give u to float64 precision, and the solve
 stops at its first evaluation.  Below that each starts from closed-form bounds
 that include the pole of the highest Gamma factor.
+
+EstimateResult, CubicCoefficients and SampleStats are typing.NamedTuples.
 """
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateFitError, DomainError, InsufficientDataError, NoConvergenceError
 from .frechet import (
@@ -67,16 +68,14 @@ class Method(enum.Enum):
     EXACT_ROOT = "exact-root"
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     alpha: float
     method: Method
     residual: float
     iterations: int
 
 
-@dataclass(frozen=True)
-class CubicCoefficients:
+class CubicCoefficients(NamedTuple):
     """Cubic a3*u^3 + a2*u^2 = V in the reciprocal shape u = 1/alpha."""
 
     a3: float = (CONSTANTS.euler_gamma * math.pi**2 + 6.0 * CONSTANTS.apery) / 3.0
@@ -86,8 +85,7 @@ class CubicCoefficients:
 _CUBIC = CubicCoefficients()
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(NamedTuple):
     """Empirical moments: unbiased variance, bias-adjusted skewness/kurtosis.
 
     With central moments m_j = mean((x - xbar)^j):

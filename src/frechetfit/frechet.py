@@ -8,12 +8,15 @@ the binomial sum cancels too many digits to leave an answer (high orders at
 large alpha) it raises PrecisionLossError.  The variance and skewness series,
 reverted to u as power series in sqrt(V) and in skewness - s_inf, seed the
 inverse solves in estimation.
+
+The records are typing.NamedTuples, which need neither dataclasses nor
+inspect at import; FrechetShape and FrechetParams check their fields in
+__new__ and raise DomainError.
 """
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, PrecisionLossError, UndefinedMomentError
 from .special_functions import CONSTANTS, ZETA, gamma, log_gamma
@@ -36,40 +39,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrechetShape:
-    """One-parameter Frechet distribution, pdf alpha*x^(-alpha-1)*exp(-x^-alpha)."""
+def _check_alpha(alpha: float) -> None:
+    if not (alpha > 0.0) or not math.isfinite(alpha):
+        raise DomainError(f"shape parameter must be > 0, got {alpha!r}")
 
+
+class _Validated:
+    """Base of the records whose __new__ checks the fields.
+
+    NamedTuple._make, and so _replace, builds the tuple directly; here it
+    calls the record's __new__, so no record skips the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _FrechetShapeFields(NamedTuple):
     alpha: float
 
-    def __post_init__(self):
-        if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
-            raise DomainError(f"shape parameter must be > 0, got {self.alpha!r}")
+
+class FrechetShape(_Validated, _FrechetShapeFields):
+    """One-parameter Frechet distribution, pdf alpha*x^(-alpha-1)*exp(-x^-alpha)."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float):
+        _check_alpha(alpha)
+        return super().__new__(cls, alpha)
 
 
-@dataclass(frozen=True)
-class FrechetParams:
-    """Location-scale Frechet distribution with support (location, inf)."""
-
+class _FrechetParamsFields(NamedTuple):
     location: float
     scale: float
     alpha: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.location):
-            raise DomainError(f"location must be finite, got {self.location!r}")
-        if not (self.scale > 0.0) or not math.isfinite(self.scale):
-            raise DomainError(f"scale must be > 0, got {self.scale!r}")
-        if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
-            raise DomainError(f"shape parameter must be > 0, got {self.alpha!r}")
+
+class FrechetParams(_Validated, _FrechetParamsFields):
+    """Location-scale Frechet distribution with support (location, inf)."""
+
+    __slots__ = ()
+
+    def __new__(cls, location: float, scale: float, alpha: float):
+        if not math.isfinite(location):
+            raise DomainError(f"location must be finite, got {location!r}")
+        if not (scale > 0.0) or not math.isfinite(scale):
+            raise DomainError(f"scale must be > 0, got {scale!r}")
+        _check_alpha(alpha)
+        return super().__new__(cls, location, scale, alpha)
 
     @property
     def shape(self) -> FrechetShape:
         return FrechetShape(self.alpha)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Moments of one order: raw, centered, normalized, with definedness flag.
 
     `raw`/`centered` are None when k >= alpha; `normalized` is None exactly

@@ -7,20 +7,22 @@ is top53bits / 2^53, plus 2^-54, a sum that is exact or rounds half to even
 as top53bits + 0.5 does.  The text format is one value per line (optional
 single header line; comma or whitespace delimited columns), written with 17
 significant digits for lossless round trips.
+
+SamplerConfig is a typing.NamedTuple that checks its count and seed in
+__new__, as frechet.FrechetParams checks its fields.
 """
 
 import io
 import math
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Sequence, Union
+from typing import BinaryIO, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, EmptyInputError, ParseError
-from .frechet import FrechetParams
+from .frechet import FrechetParams, _Validated
 
 __all__ = ["SamplerConfig", "sample", "read_samples", "write_samples"]
 
@@ -29,19 +31,23 @@ __all__ = ["SamplerConfig", "sample", "read_samples", "write_samples"]
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Deterministic sampling request: equal configs give identical output."""
-
+class _SamplerConfigFields(NamedTuple):
     seed: int
     count: int
     params: FrechetParams
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count!r}")
-        if not (0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+
+class SamplerConfig(_Validated, _SamplerConfigFields):
+    """Deterministic sampling request: equal configs give identical output."""
+
+    __slots__ = ()
+
+    def __new__(cls, seed: int, count: int, params: FrechetParams):
+        if count < 1:
+            raise DomainError(f"count must be >= 1, got {count!r}")
+        if not (0 <= seed < 2**64):
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        return super().__new__(cls, seed, count, params)
 
 
 def sample(config: SamplerConfig) -> np.ndarray:
@@ -248,10 +254,11 @@ class _Workspace:
         self.masks = np.empty((2, size), dtype=bool)
         self.kept = np.empty(size, dtype=np.int8)
         self.digits = np.empty((17, size), dtype=np.uint8)
-        self.text = np.empty((22, size), dtype=np.uint8)
-        # a line is at most 24 bytes; one lead byte before the first line,
-        # and room for the stray bytes after the last (see _format_fixed)
-        self.out = np.empty(24 * size + 24, dtype=np.uint8)
+        self.text = np.empty((24, size), dtype=np.uint8)
+        # a line is at most 25 bytes (a negative value with a three-digit
+        # exponent); one lead byte before the first line, and room for the
+        # stray bytes after the last (see _format_fixed)
+        self.out = np.empty(25 * size + 24, dtype=np.uint8)
         self.rows = np.arange(size)
 
 
@@ -300,13 +307,18 @@ def _exponent_guess(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.clip(out, -4, 15, out=out)
 
 
-def _format_fixed(x: np.ndarray, a: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """format(v, ".17g") + "\n" for each v, all with 1e-4 <= |v| < 1e16, as bytes in ws.out.
+def _format_fixed(
+    x: np.ndarray, a: np.ndarray, ws: _Workspace, rest: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """format(v, ".17g") + "\n" for each v, as bytes in ws.out.
 
-    In that range ".17g" is positional notation of the 17-digit significand
-    N of v, 10^16 <= N < 10^17, with trailing zeros (and a bare point)
-    stripped. N is computed exactly in float64 arithmetic (see _round_scaled).
-    a = |x|; every other intermediate is a view of ws.
+    For 1e-4 <= |v| < 1e16, ".17g" is positional notation of the 17-digit
+    significand N of v, 10^16 <= N < 10^17, with trailing zeros (and a bare
+    point) stripped. N is computed exactly in float64 arithmetic (see
+    _round_scaled). The rows `rest`, if given, hold every other value: zero,
+    subnormals and exponent notation. Those go through "%.17g", the routine
+    format() uses, and are laid out with the others. a = |x|, overwritten in
+    those rows; every other intermediate is a view of ws.
     """
     n = x.size
     f = ws.f[:, :n]
@@ -317,6 +329,8 @@ def _format_fixed(x: np.ndarray, a: np.ndarray, ws: _Workspace) -> np.ndarray:
     # also where v rounds up to 10^(E+1)); such rows, few in any sample,
     # are computed again with E moved by one
     E = i0
+    if rest is not None:
+        a[rest] = 1.0  # a stand-in, whose digits the text below replaces
     E[...] = _exponent_guess(a, f[0])
     N = _round_scaled(a, E, i1, f)
     np.less(N, 10**16, out=low)
@@ -327,7 +341,10 @@ def _format_fixed(x: np.ndarray, a: np.ndarray, ws: _Workspace) -> np.ndarray:
         N[off] = _round_scaled(a[off], E[off], np.empty(off.size, dtype=np.int64), f[:, :off.size])
 
     # rows sorted by E, so that every layout below is one slice; the key
-    # E << _ROW_BITS plus the row's index sorts stably in place
+    # E << _ROW_BITS plus the row's index sorts stably in place. The rows of
+    # rest take E = 16, after every other row and in file order
+    if rest is not None:
+        E[rest] = 16
     np.left_shift(E, _ROW_BITS, out=order)
     order += ws.rows[:n]
     order.sort()
@@ -377,6 +394,14 @@ def _format_fixed(x: np.ndarray, a: np.ndarray, ws: _Workspace) -> np.ndarray:
             T[2:1 - e, s] = ord("0")
             T[1 - e:18 - e, s] = D[:, s]
             np.add(kept[s], 1 - e, out=width[s])
+    if rest is not None:
+        # "%.17g" of each row of rest, sign included, left-aligned in 24
+        # bytes: the padding lies past the width, where stale bytes lie
+        s = slice(bounds[-1], n)
+        text = ("%-24.17g" * rest.size) % tuple(x[rest].tolist())
+        lines = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
+        T[:, s] = lines.T
+        width[s] = np.count_nonzero(lines != ord(" "), axis=1)
 
     # every line goes to its place in file order by scatters into ws.out,
     # whose byte 0 only precedes the first line: the columns of T from the
@@ -386,6 +411,8 @@ def _format_fixed(x: np.ndarray, a: np.ndarray, ws: _Workspace) -> np.ndarray:
     # line. A positive line's sign lands on the newline before it, or byte 0
     neg = zeros
     np.less(np.take(x, order, out=f[0], mode="clip"), 0, out=neg)
+    if rest is not None:
+        neg[bounds[-1]:] = False  # in the text already
     lengths = np.add(width, neg, out=i1)
     lengths += 1
     i0[order] = lengths  # in file order
@@ -403,12 +430,11 @@ def _format_fixed(x: np.ndarray, a: np.ndarray, ws: _Workspace) -> np.ndarray:
     return out[1:total + 1]
 
 
-def _format_chunk(x: np.ndarray, ws: _Workspace) -> Union[np.ndarray, bytes]:
+def _format_chunk(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     a = np.abs(x, out=ws.a[:x.size])
     if a.min() >= 1e-4 and a.max() < 1e16:
         return _format_fixed(x, a, ws)
-    # zero, subnormals and exponent notation: the routine format() uses
-    return (("%.17g\n" * x.size) % tuple(x.tolist())).encode("ascii")
+    return _format_fixed(x, a, ws, np.flatnonzero((a < 1e-4) | (a >= 1e16)))
 
 
 def write_samples(path: Union[str, Path], values: Sequence[float]) -> None:

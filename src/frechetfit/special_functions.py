@@ -8,7 +8,7 @@ ln Gamma(1-t) = gamma*t + sum_{n>=2} zeta(n) t^n / n (DLMF 5.7.3).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, GammaRangeError, PoleError
 
@@ -55,8 +55,7 @@ ZETA = (
 _GAMMA_OVERFLOW = 171.62437695630272
 
 
-@dataclass(frozen=True)
-class MathConstants:
+class MathConstants(NamedTuple):
     """The three constants entering the expansion coefficients."""
 
     euler_gamma: float = _EULER_GAMMA
@@ -64,8 +63,7 @@ class MathConstants:
     apery: float = _APERY
 
 
-@dataclass(frozen=True)
-class LaurentCoefficients:
+class LaurentCoefficients(NamedTuple):
     """Coefficients of Gamma(z) = c_minus1/z + c0 + c1*z + c2*z^2 + O(z^3)."""
 
     c_minus1: float = 1.0

@@ -368,6 +368,21 @@ def test_cli_import_builds_no_moment_series():
     assert out.stdout == "0\n"
 
 
+def test_imports_load_no_dataclass_machinery():
+    # the records are named tuples: dataclasses, and the inspect module it
+    # pulls in, would add about 11 ms to every start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    code = "\n".join([
+        "import sys, frechetfit",
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules))",
+        "import frechetfit.cli",
+        "print('dataclasses' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.splitlines() == ["[]", "False"]
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # only `check` needs scipy.integrate, which dominates the CLI import time,
     # and `estimate` (all three solvers) loads no scipy module at all

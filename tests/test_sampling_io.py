@@ -457,6 +457,20 @@ class TestWriteSamples:
         x = np.concatenate([wide, narrow, fallback, last])
         assert written(tmp_path, x) == dot17g(x)
 
+    @pytest.mark.parametrize("share", [1e-4, 0.37, 0.5, 0.999, 1.0])
+    def test_mixed_chunks(self, tmp_path, share):
+        # fallback rows scattered at random among positional ones, in full
+        # chunks and a short last one: the widest fallback lines (24 bytes)
+        # next to the narrowest positional ones, and negative fallback rows
+        # after positive positional ones, which lay their sign on the newline
+        rng = np.random.default_rng(13)
+        n = 2 * _CHUNK + 1001
+        x = rng.choice([1.0, 2.5, 0.125, -3.0, 1e15 + 0.5, -1.5e-4], n)
+        rows = rng.random(n) < share
+        rows[[0, _CHUNK - 1, _CHUNK, n - 1]] = True
+        x[rows] = rng.choice(FALLBACK + [-TINY_NORMAL, -1e-300, 1e-5, -9e-5, 3e16], int(rows.sum()))
+        assert written(tmp_path, x) == dot17g(x)
+
     def test_empty(self, tmp_path):
         assert written(tmp_path, []) == b""
 
