@@ -199,10 +199,10 @@ def _binomial(alpha: float, k: int) -> tuple:
 
     The rounding error of k + 1 alternating terms is about eps (k + 1) sum|term|.
     """
-    omega1 = gamma(1.0 - 1.0 / alpha)
+    omega1 = gamma((alpha - 1.0) / alpha)
     total = magnitude = 0.0
     for p in range(k + 1):
-        omega_p = 1.0 if p == 0 else gamma(1.0 - p / alpha)
+        omega_p = 1.0 if p == 0 else gamma((alpha - p) / alpha)
         term = math.comb(k, p) * omega1 ** (k - p) * omega_p
         total += term if (k - p) % 2 == 0 else -term
         magnitude += term  # every term is positive
@@ -316,7 +316,7 @@ def raw_moment(d: FrechetShape, k: int) -> float:
         raise UndefinedMomentError(
             f"raw moment of order {k} diverges for alpha = {d.alpha} (needs k < alpha)"
         )
-    return gamma(1.0 - k / d.alpha)
+    return gamma((d.alpha - k) / d.alpha)
 
 
 def centered_moment(d: FrechetShape, k: int) -> float:
@@ -382,7 +382,7 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
     normalized_centered_moment.
     """
     defined = k < d.alpha
-    raw = gamma(1.0 - k / d.alpha) if defined else None
+    raw = gamma((d.alpha - k) / d.alpha) if defined else None
     centered = normalized = None
     if defined and k >= 2:
         if _on_series(d.alpha, k):

@@ -6,7 +6,9 @@ in the inverse transform never sees 0 or 1: that is Generator.random(), which
 is top53bits / 2^53, plus 2^-54, a sum that is exact or rounds half to even
 as top53bits + 0.5 does.  The text format is one value per line (optional
 single header line; comma or whitespace delimited columns), written with 17
-significant digits for lossless round trips.
+significant digits for lossless round trips.  Both ways, plain decimal
+lines go through numpy array operations that round exactly as format() and
+float() do.
 
 SamplerConfig is a typing.NamedTuple that checks its count and seed in
 __new__, as frechet.FrechetParams checks its fields.
@@ -14,6 +16,7 @@ __new__, as frechet.FrechetParams checks its fields.
 
 import io
 import math
+import sys
 import warnings
 from functools import partial
 from pathlib import Path
@@ -137,22 +140,38 @@ def _scan(text: str, column: Optional[str]) -> list[float]:
 _SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
+# Bytes of which a file of one token a line holds none.
+_NOT_ONE_PER_LINE = (b"\r", b" ", b"\t")
+
+
 def _loadtxt_plan(
     open_binary: Callable[[], BinaryIO], column: Optional[str]
-) -> Optional[tuple[int, int]]:
-    """The (skiprows, usecols) with which np.loadtxt reads the stream as _scan does.
+) -> Optional[tuple[int, int, Optional[int]]]:
+    """The (skiprows, usecols, count) with which np.loadtxt or _read_plain reads the stream as _scan does.
 
     `open_binary` opens the bytes afresh on each call.  The first pass reads
     them in blocks of _CHUNK bytes and returns None where np.loadtxt could
     split lines or fields differently: non-ASCII text, line breaks that only
     str.splitlines knows, and any comma, since _split drops the empty comma
-    fields that np.loadtxt counts.  The second reads lines up to the first
-    non-blank one, which is the header or the first value.
+    fields that np.loadtxt counts.  Until a block shows that the stream is
+    not one token a line, it also counts the lines.  The second
+    reads lines up to the first non-blank one, which is the header or the
+    first value.  The third item is the number of lines after skiprows if
+    the stream holds no whitespace, carriage return or blank line, and
+    else None.
     """
+    lines, one_per_line, last = 0, True, b"\n"
     with open_binary() as fh:
         for block in iter(partial(fh.read, _CHUNK), b""):
             if b"," in block or not block.isascii() or any(b in block for b in _SPLITLINES_ONLY_BREAKS):
                 return None
+            if one_per_line:
+                newline = np.frombuffer(block, dtype=np.uint8) == 10
+                lines += int(np.count_nonzero(newline))
+                # a newline after a newline, or first in the file, ends a blank line
+                blank = newline[0] and last == b"\n" or (newline[1:] & newline[:-1]).any()
+                one_per_line = not (blank or any(b in block for b in _NOT_ONE_PER_LINE))
+                last = block[-1:]
     with io.TextIOWrapper(open_binary(), encoding="ascii") as fh:
         for lineno, line in enumerate(iter(fh.readline, ""), start=1):
             tokens = _split(line)
@@ -161,7 +180,10 @@ def _loadtxt_plan(
         else:
             return None
     col_index, is_header = _layout(tokens, column, lineno)
-    return (lineno if is_header else 0), col_index
+    skiprows = lineno if is_header else 0
+    # a last line without a newline counts too
+    lines += last != b"\n"
+    return skiprows, col_index, (lines - skiprows if one_per_line else None)
 
 
 def _load(
@@ -187,6 +209,236 @@ def _load(
     return x
 
 
+# The plain-decimal reader reads _READ bytes at a time and parses up to
+# _LINES lines at a time.  _TAIL[j, n] is word j of a 24-byte row, as three
+# little-endian words, whose last n bytes are 0xff and the others 0.
+_READ = 64 << 10
+_LINES = 3584
+_TAIL = np.frombuffer(
+    b"".join((bytes(24 - n) + b"\xff" * n)[8 * j:8 * j + 8] for j in range(3) for n in range(25)), dtype=np.uint64
+).reshape(3, 25)
+
+
+class _LineWorkspace:
+    """The buffers of one _read_plain call.
+
+    raw holds the bytes read after 32 lead bytes, the last a newline, so
+    that the 25 bytes before each line's end lie in it; words is raw as
+    aligned 64-bit words, which the parser takes as little-endian.  w, i
+    and b are scratch rows for _LINES lines, and t and flags scratch as
+    long as raw.  About 0.55 MB in all.
+    """
+
+    def __init__(self):
+        self.raw = np.empty(32 + _READ + 8, dtype=np.uint8)
+        self.raw[31] = ord("\n")
+        self.words = self.raw.view(np.uint64)
+        self.w = np.empty(11 * _LINES, dtype=np.uint64)
+        # t and flags lie in w, which a group of lines uses only after them
+        self.t, self.flags = self.w.view(np.uint8)[:2 * self.raw.size].reshape(2, -1)
+        self.flags = self.flags.view(bool)
+        self.i = np.empty(6 * _LINES, dtype=np.int64)
+        self.b = np.empty(4 * _LINES, dtype=bool)
+
+
+def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
+    """The value of each line of ws.raw between consecutive newlines at nl, into out.
+
+    A plain line is -?digits[.digits][e(+|-)dd] with a significand of at
+    most 24 bytes, digits N < 4.61e18, and k in [0, 22] for k = (digits
+    after the point) - (the exponent); its value N / 10^k is rounded to
+    nearest in float64 arithmetic.  The significand's last 24 bytes are
+    gathered as three words, the point dropped, and the digits combined
+    eight at a time (SWAR).  q = fl(fl(N) / 10^k) is within 1.5 ulps; the
+    exact residual N - q * 10^k, from TwoProduct and the int64 remainder
+    N - fl(N), moves q by one ulp where it exceeds half an ulp of q.  Every
+    other line, and every line at a tie or within rounding of one, goes to
+    float().  Returns False where float() fails on a line (a blank one
+    too) or gives a nan or an infinity.
+    """
+    raw = ws.raw
+    prev, ends = nl[:-1], nl[1:]
+    n = ends.size
+    lo = int(nl[0]) + 1
+    text = raw[lo:int(nl[-1])]
+    t, flags = ws.t[:text.size], ws.flags[:text.size]
+    size, frac, stop, power, i0, i1 = ws.i[:6 * n].reshape(6, n)
+    bad, neg, dotted, flag = ws.b[:4 * n].reshape(4, n)
+    np.subtract(ends, prev, out=size)
+    size -= 1
+    # every byte but a digit, a point or a newline is a minus that starts
+    # its line, or "e", a sign and two digits that end it, or the line goes
+    # to float(); t is scratch
+    np.greater_equal(np.subtract(text, 48, out=t), 10, out=flags)
+    flags &= np.not_equal(text, ord("."), out=t.view(bool))
+    flags &= np.not_equal(text, 10, out=t.view(bool))
+    odd = np.flatnonzero(flags)
+    odd += lo
+    c, sign = raw[odd], raw[odd + 1]
+    is_exp = (c == ord("e")) & ((sign == ord("-")) | (sign == ord("+"))) & (raw[odd + 4] == 10)
+    is_exp &= (raw[odd + 2] - 48 < 10) & (raw[odd + 3] - 48 < 10)
+    fine = is_exp | (c == ord("-")) & (raw[odd - 1] == 10)
+    fine |= ((c == ord("-")) | (c == ord("+"))) & (raw[odd - 1] == ord("e"))
+    # stop = the end of each line's significand, power = its exponent
+    exps = odd[is_exp]
+    line = np.searchsorted(ends, exps)
+    np.copyto(stop, ends)
+    stop[line] = exps
+    size[line] -= 4
+    power.fill(0)
+    power[line] = (raw[exps + 2].astype(np.int64) * 10 + raw[exps + 3] - 528) * (44 - raw[exps + 1].astype(np.int64))
+    np.greater(size, 24, out=bad)
+    bad[np.searchsorted(ends, odd[~fine])] = True
+    dots = np.flatnonzero(np.equal(text, ord("."), out=flags))
+    dots += lo
+    # frac = the bytes after the point, 24 for a line without one
+    if dots.size == n and (dots > prev).all() and (dots < stop).all():
+        np.subtract(stop, dots, out=frac)
+    else:
+        frac.fill(25)
+        line = np.searchsorted(ends, dots)
+        frac[line] = stop[line] - dots
+        bad[line[1:][line[1:] == line[:-1]]] = True
+    frac -= 1
+    np.less(frac, 24, out=dotted)
+    np.add(prev, 1, out=i0)
+    np.equal(np.take(raw, i0, out=t[:n], mode="clip"), ord("-"), out=neg)
+    digits = np.subtract(size, dotted, out=i0)
+    digits -= neg
+    bad |= np.less(digits, 1, out=flag)
+
+    # X = each line's 24 bytes [p, p + 24) up to its stop, from the aligned
+    # words around them; Y = the bytes [p - 1, p + 23)
+    w = ws.w[:11 * n].reshape(11, n)
+    g, X, Y, s = w[:4], w[4:7], w[7:10], w[10]
+    np.subtract(stop, 24, out=i1)
+    np.bitwise_and(i1, 7, out=s, casting="unsafe")
+    s <<= 3
+    i1 >>= 3
+    for j in range(4):
+        np.take(ws.words, i1, out=g[j], mode="clip")
+        i1 += 1
+    np.right_shift(g[:3], s, out=X)
+    # g << (64 - s) in two shifts, each below 64
+    np.subtract(56, s, out=s)
+    np.left_shift(g[1:], s, out=g[1:])
+    X |= np.left_shift(g[1:], 8, out=g[1:])
+    np.left_shift(X, 8, out=Y)
+    Y[1:] |= np.right_shift(X[:2], 56, out=g[:2])
+    # the digits right-aligned: the bytes after the point from X, the rest
+    # from Y, and "0" for the bytes before the line
+    M = np.take(_TAIL, frac, axis=1, out=g[:3], mode="clip")
+    X &= M
+    Y &= np.invert(M, out=M)
+    Y |= X
+    Y &= np.take(_TAIL, digits, axis=1, out=M, mode="clip")
+    M &= 0x3030303030303030
+    Y -= M
+    # each word's eight digits as a number, first digit most significant
+    np.right_shift(Y, 8, out=M)
+    Y *= 10
+    Y += M
+    np.right_shift(Y, 16, out=M)
+    M &= 0x000000FF000000FF
+    M *= 1 + (10000 << 32)
+    Y &= 0x000000FF000000FF
+    Y *= 100 + (1000000 << 32)
+    Y += M
+    Y >>= 32
+    bad |= np.greater(Y[0], 460, out=flag)
+    np.minimum(Y[0], 461, out=Y[0])
+    N = Y[2]
+    N += np.multiply(Y[1], 10**8, out=Y[1])
+    N += np.multiply(Y[0], 10**16, out=Y[0])
+    N = N.view(np.int64)
+
+    # N / 10^k, k = frac - power
+    k = np.multiply(frac, dotted, out=i1)
+    k -= power
+    bad |= np.greater(k, 22, out=flag)
+    bad |= np.less(k, 0, out=flag)
+    b, r, p, e, ah, al, bh, bl = w[:8].view(np.float64)
+    q = out
+    np.take(_POW10, k, out=b, mode="clip")
+    np.copyto(r, N)
+    np.divide(r, b, out=q)
+    np.copyto(i0, r, casting="unsafe")
+    np.subtract(N, i0, out=i0)
+    np.multiply(q, b, out=p)
+    _product_error(q, b, p, e, ah, al, bh, bl)
+    # r = N - q * 10^k = (fl(N) - p) - e + (N - fl(N))
+    r -= p
+    r -= e
+    r += i0
+    # t = |r| / (ulp(q) 10^k): below 1/2 keeps q, from 1/2 to 5/4 moves it
+    # one ulp toward r, and within 2^-30 of 1/2 (a tie) or past 5/4 needs
+    # float(); so does a power of two with r < 0, whose ulp below is half
+    pow2 = np.equal(np.bitwise_and(q.view(np.int64), (1 << 52) - 1, out=i0), 0, out=dotted)
+    bad |= np.logical_and(pow2, np.less(r, 0, out=flag), out=flag)
+    u = np.spacing(q, out=e)
+    t = np.divide(np.abs(r, out=ah), np.multiply(u, b, out=p), out=ah)
+    np.copysign(u, r, out=u)
+    u *= np.greater(t, 0.5, out=flag)
+    q += u
+    bad |= np.greater(t, 1.25 - 2.0**-30, out=flag)
+    t -= 0.5
+    bad |= np.less(np.abs(t, out=t), 2.0**-30, out=flag)
+    np.negative(q, out=q, where=neg)
+
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        spans = zip((prev[rows] + 1).tolist(), ends[rows].tolist())
+        view = memoryview(raw)
+        try:
+            out[rows] = [float(view[a:z]) for a, z in spans]
+        except ValueError:
+            return False
+        if not np.isfinite(out[rows]).all():
+            return False
+    return True
+
+
+def _read_plain(open_binary: Callable[[], BinaryIO], skiprows: int, count: int) -> Optional[np.ndarray]:
+    """The `count` values after `skiprows` lines, one a line; None if _parse_lines fails on one.
+
+    The stream is read _READ bytes at a time into one _LineWorkspace; the
+    line that a read cuts is moved to the front for the next.
+    """
+    ws = _LineWorkspace()
+    raw = ws.raw
+    x = np.empty(count)
+    done = held = 0
+    with open_binary() as fh:
+        while True:
+            got = fh.readinto(raw[32 + held:32 + _READ])
+            end = 32 + held + got
+            if got == 0:
+                if held == 0:
+                    break
+                raw[end] = ord("\n")  # the last line has none
+                end += 1
+            # the newlines, from the one at raw[31]
+            nl = np.flatnonzero(np.equal(raw[31:end], ord("\n"), out=ws.flags[:end - 31]))
+            nl += 31
+            skip = min(skiprows, nl.size - 1)
+            skiprows -= skip
+            nl = nl[skip:]
+            for start in range(0, nl.size - 1, _LINES):
+                part = nl[start:start + _LINES + 1]
+                upto = done + part.size - 1
+                if upto > count or not _parse_lines(ws, part, x[done:upto]):
+                    return None
+                done = upto
+            last = int(nl[-1]) + 1
+            held = end - last
+            if held == _READ:
+                return None  # a line longer than a read
+            raw[32:32 + held] = raw[last:end]
+            if got == 0:
+                break
+    return x if done == count else None
+
+
 def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.ndarray:
     """Parse one value per line, or the named column of a delimited file.
 
@@ -196,12 +448,16 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     ParseError with its line number; bytes that do not decode in the locale
     encoding raise ParseError too.
 
-    One np.loadtxt call reads a whitespace-delimited ASCII file, after
-    block reads of it have checked that format, so that a regular file is
-    held only as the returned array; comma files, other text, and files
-    where that call fails are read whole and go to the line scanner, which
-    also reports the offending line.  A pipe, which can be read only once,
-    is read whole first.
+    Block reads first check the format and count the lines.  An ASCII file
+    of one token a line, with no comma, whitespace, carriage return or
+    blank line, is parsed a block at a time by _read_plain into an array of
+    that many values, bit for bit as float() parses each line.  One
+    np.loadtxt call reads any other whitespace-delimited ASCII file, and a
+    file that _read_plain turns back (a token float() rejects, a nan or an
+    infinity), so that a regular file is held only as the returned array;
+    comma files, other text, and files where that call fails are read whole
+    and go to the line scanner, which also reports the offending line.  A
+    pipe, which can be read only once, is read whole first.
     """
     if Path(path).is_file():
         data, open_binary = None, partial(open, path, "rb")
@@ -212,9 +468,13 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     plan = _loadtxt_plan(open_binary, column)
     values = None
     if plan is not None:
-        # np.loadtxt reads a file faster than text held in memory
-        source = path if data is None else io.TextIOWrapper(open_binary(), encoding="ascii")
-        values = _load(source, *plan)
+        skiprows, col_index, count = plan
+        if count is not None and sys.byteorder == "little":
+            values = _read_plain(open_binary, skiprows, count)
+        if values is None:
+            # np.loadtxt reads a file faster than text held in memory
+            source = path if data is None else io.TextIOWrapper(open_binary(), encoding="ascii")
+            values = _load(source, skiprows, col_index)
     if values is None:
         if data is None:
             data = Path(path).read_bytes()
@@ -270,6 +530,26 @@ def _veltkamp(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
     np.subtract(x, hi, out=lo)
 
 
+def _product_error(
+    a: np.ndarray, b: np.ndarray, p: np.ndarray, out: np.ndarray,
+    ah: np.ndarray, al: np.ndarray, bh: np.ndarray, bl: np.ndarray,
+) -> np.ndarray:
+    """a * b - p for p = fl(a * b), exactly (Dekker's TwoProduct), into out.
+
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl from the Veltkamp
+    splits into ah, al, bh and bl, each product into a factor that is
+    spent; out may be b.
+    """
+    _veltkamp(a, ah, al)
+    _veltkamp(b, bh, bl)
+    e = np.multiply(ah, bh, out=out)
+    e -= p
+    e += np.multiply(ah, bl, out=ah)
+    e += np.multiply(al, bh, out=bh)
+    e += np.multiply(al, bl, out=bl)
+    return e
+
+
 def _round_scaled(a: np.ndarray, E: np.ndarray, out: np.ndarray, f: np.ndarray) -> np.ndarray:
     """round-half-even(a * 10^(16-E)) for a > 0, exactly where it is at least 2^53.
 
@@ -284,15 +564,7 @@ def _round_scaled(a: np.ndarray, E: np.ndarray, out: np.ndarray, f: np.ndarray) 
     # mode="clip" writes straight into b, where "raise" would buffer; every index is in range
     np.take(_POW10, np.subtract(16, E, out=out), out=b, mode="clip")
     np.multiply(a, b, out=p)
-    _veltkamp(a, ah, al)
-    _veltkamp(b, bh, bl)
-    # e = ((ah * bh - p) + ah * bl + al * bh) + al * bl, each product
-    # into a factor that is spent
-    e = np.multiply(ah, bh, out=b)
-    e -= p
-    e += np.multiply(ah, bl, out=ah)
-    e += np.multiply(al, bh, out=bh)
-    e += np.multiply(al, bl, out=bl)
+    e = _product_error(a, b, p, b, ah, al, bh, bl)
     # in int64: p + rint(e) can take 57 bits
     out[...] = p
     return np.add(out, np.rint(e, out=e), out=out, dtype=np.int64, casting="unsafe")

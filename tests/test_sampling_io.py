@@ -128,6 +128,25 @@ class TestSampler:
         assert abs(sample_stats(x).variance - 0.0222624) <= 3.0 * se
 
 
+# 18 to 25 significant digits, with the point at either end and inside
+SIGNIFICANT = [
+    d[:i] + "." + d[i:] if i is not None else d
+    for n in range(18, 26)
+    for d in ["".join(str((7 * j + n) % 10) for j in range(n)).lstrip("0")]
+    for i in (None, 0, 1, 9, len(d))
+]
+# a 24-byte token with a point, and 25 and 27-byte ones (the last 24 bytes
+# of the last one read as 5)
+FORMS = ["-0", "0", "007", ".5", "5.", "-.5", "+1.5", "0.0000000000000000000125",
+         "1.23456789012345678901234", "1.2345678901234567890123456", "1000000000000000000000005"]
+# halfway between two doubles (2^53 + 1 and 2^52 + 1/2), and one unit away
+TIES = ["9007199254740992", "9007199254740993", "9007199254740994",
+        "4503599627370496.4", "4503599627370496.5", "4503599627370496.6", "-9007199254740993"]
+# just below a power of two, where the next double down is half an ulp away
+BELOW_POW2 = ["0.99999999999999994", "1.9999999999999998", "0.49999999999999997", "2047.9999999999998",
+              "0.12499999999999999", "0.0000009536743164062499"]
+
+
 class TestReadSamples:
     def test_plain_values(self, tmp_path):
         p = tmp_path / "plain.txt"
@@ -176,15 +195,35 @@ class TestReadSamples:
             ("1.0\x0b2.0\n", None, [1.0, 2.0], False),
             ("t value\n0 1.5\n1,2.5\n", "value", [1.5, 2.5], False),
             ("1_000\n", None, [1000.0], False),
+            # "plain": the plain-decimal reader, neither np.loadtxt nor the scanner
+            *(pytest.param(text, column, [float(t) for t in expected], "plain", id=name)
+              for name, text, column, expected in [
+                ("forms", "\n".join(FORMS) + "\n", None, FORMS),
+                ("digits-18-to-25", "\n".join(SIGNIFICANT) + "\n", None, SIGNIFICANT),
+                ("ties", "\n".join(TIES) + "\n", None, TIES),
+                ("below-a-power-of-two", "\n".join(BELOW_POW2) + "\n", None, BELOW_POW2),
+                ("exponents", "0.5\n1e-05\n-2.5e-07\n3.25\n", None, ["0.5", "1e-05", "-2.5e-07", "3.25"]),
+                ("no-last-newline", "value\n1.5\n-2.25", "value", ["1.5", "-2.25"]),
+                ("header", "value\n1.5\n2.5\n", None, ["1.5", "2.5"]),
+                ("split-by-a-read", "1.25\n" * (sampling_io._READ // 5) + "3.0625\n",
+                 None, ["1.25"] * (sampling_io._READ // 5) + ["3.0625"]),
+            ]),
         ],
     )
     def test_matches_scanner(self, tmp_path, monkeypatch, text, column, expected, fast):
+        # fast: True for np.loadtxt alone, "plain" for the plain-decimal reader alone
         assert _scan(text, column) == expected
         if fast:
             monkeypatch.setattr(sampling_io, "_scan", None)
+        if fast is True:
+            monkeypatch.setattr(sampling_io, "_read_plain", None)
+        if fast == "plain":
+            monkeypatch.setattr(sampling_io, "_load", None)
         p = tmp_path / "case.txt"
         p.write_bytes(text.encode())
-        assert read_samples(p, column=column).tolist() == expected
+        x = read_samples(p, column=column)
+        assert x.tolist() == expected
+        assert x.tobytes() == np.array(expected).tobytes()  # the sign of zero too
 
     @pytest.mark.parametrize(
         "text, column, expected, fast",
@@ -263,6 +302,31 @@ class TestReadSamples:
 
         expected = outcome(lambda: _scan(text, column))
         assert outcome(lambda: read_samples(p, column=column)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tokens=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False).flatmap(
+                lambda v: st.sampled_from([format(v, ".17g"), repr(v)])
+            )
+            | st.builds(
+                lambda sign, d, i: sign + (d[:i] + "." + d[i:] if i <= len(d) else d),
+                st.sampled_from(["", "-"]),
+                st.text("0123456789", min_size=1, max_size=25),
+                st.integers(0, 26),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_plain_decimals_property(self, tmp_path_factory, tokens):
+        p = tmp_path_factory.mktemp("plain") / "case.txt"
+        p.write_text("\n".join(tokens) + "\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling_io, "_scan", None)
+            mp.setattr(sampling_io, "_load", None)
+            x = read_samples(p)
+        assert x.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
     # more than one read block of plain lines before the line under test
     LEAD = "1.0\n" * (_CHUNK // 4 + 10)
@@ -510,6 +574,26 @@ x = sample(SamplerConfig(seed=77, count=10**6, params=FrechetParams(0.0, 1.0, 5.
 sample_stats(x)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 write_samples({str(tmp_path / "s.txt")!r}, x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert int(out.stdout) <= 4000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_read_samples_faults_in_its_memory_once(tmp_path):
+    # a fresh process; the plain-decimal reader parses every block in one
+    # workspace, where buffers made anew for every block took about 80,000
+    # minor faults for these 1e6 values (np.loadtxt about 2,700)
+    p = tmp_path / "s.txt"
+    write_samples(p, sample(config(seed=77, count=10**6)))
+    code = f"""
+import resource
+from frechetfit import read_samples
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+read_samples({str(p)!r})
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
