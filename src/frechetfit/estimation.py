@@ -20,6 +20,9 @@ about 11 and 13 respectively they give u to float64 precision, and the solve
 stops at its first evaluation.  Below that each starts from closed-form bounds
 that include the pole of the highest Gamma factor.
 
+As in frechet, public functions check their arguments once; the solves and
+the fit then evaluate frechet's unchecked kernels, not its public functions.
+
 EstimateResult, CubicCoefficients and SampleStats are typing.NamedTuples.
 """
 
@@ -38,11 +41,10 @@ from .frechet import (
     _skewness_reversion,
     _sum_reversion,
     _variance_reversion,
-    raw_moment,
     shape_variance,
     skewness,
 )
-from .special_functions import CONSTANTS
+from .special_functions import CONSTANTS, gamma
 
 __all__ = [
     "Method",
@@ -103,9 +105,10 @@ class SampleStats(NamedTuple):
 
 
 def _variance_residual(alpha: float, v: float) -> float:
+    # alpha is pi / sqrt(6 v) or the cubic's root for a finite v > 0: finite
     if alpha <= 2.0:
         return math.nan
-    return abs(shape_variance(alpha) - v)
+    return abs(_centered(alpha, 2) - v)
 
 
 def alpha_order1(v: float) -> EstimateResult:
@@ -165,21 +168,21 @@ def _root(f, x0: float, far, lo: float, hi: float, ftol: float, max_iter: int):
     a = min(max(x0, lo), hi)
     fa = f(a)
     evaluations = 1
+    if abs(fa) <= ftol:
+        return a, fa, evaluations
     # step from the seed to the far point, then on to the end of [lo, hi]
     for b in (far(a, fa), hi if fa > 0.0 else lo):
-        if abs(fa) <= ftol:
-            return a, fa, evaluations
         b = min(max(b, lo), hi)
         if b != a:
             fb = f(b)
             evaluations += 1
+            if abs(fb) <= ftol:
+                return b, fb, evaluations
             if (fb < 0.0) != (fa < 0.0):
                 break
             a, fa = b, fb
     else:
-        return (a, fa, evaluations) if abs(fa) <= ftol else None
-    if abs(fb) <= ftol:
-        return b, fb, evaluations
+        return None
     (lo, flo), (hi, fhi) = sorted(((a, fa), (b, fb)))
     kept = 0  # -1: hi survived the last step, +1: lo did
     for _ in range(max_iter):
@@ -380,6 +383,6 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
             )
         raise DegenerateFitError(f"sample skewness {s} requires alpha <= 3")
     alpha = 1.0 / root[0]
-    scale = math.sqrt(stats.variance / shape_variance(alpha))
-    location = stats.mean - scale * raw_moment(FrechetShape(alpha), 1)
-    return FrechetParams(location=location, scale=scale, alpha=alpha)
+    scale = math.sqrt(stats.variance / _centered(alpha, 2))
+    location = stats.mean - scale * gamma((alpha - 1.0) / alpha)
+    return FrechetParams(location, scale, alpha)

@@ -9,6 +9,9 @@ large alpha) it raises PrecisionLossError.  The variance and skewness series,
 reverted to u as power series in sqrt(V) and in skewness - s_inf, seed the
 inverse solves in estimation.
 
+Public functions check their arguments once, then call the unchecked
+kernels _centered, _normalized, _kernel and _binomial, not one another.
+
 The records are typing.NamedTuples, which need neither dataclasses nor
 inspect at import; FrechetShape and FrechetParams check their fields in
 __new__ and raise DomainError.
@@ -69,7 +72,7 @@ class FrechetShape(_Validated, _FrechetShapeFields):
 
     def __new__(cls, alpha: float):
         _check_alpha(alpha)
-        return super().__new__(cls, alpha)
+        return tuple.__new__(cls, (alpha,))
 
 
 class _FrechetParamsFields(NamedTuple):
@@ -89,7 +92,7 @@ class FrechetParams(_Validated, _FrechetParamsFields):
         if not (scale > 0.0) or not math.isfinite(scale):
             raise DomainError(f"scale must be > 0, got {scale!r}")
         _check_alpha(alpha)
-        return super().__new__(cls, location, scale, alpha)
+        return tuple.__new__(cls, (location, scale, alpha))
 
     @property
     def shape(self) -> FrechetShape:
@@ -186,14 +189,6 @@ def _on_series(alpha: float, k: int) -> bool:
     return alpha >= 2 * k and k <= _MAX_SERIES_ORDER
 
 
-def _centered_from_series(u: float, k: int, s_k: float) -> float:
-    return math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
-
-
-def _normalized_from_series(u: float, k: int, s_k: float) -> float:
-    return s_k / _kernel(2, u) ** (k / 2.0)
-
-
 def _binomial(alpha: float, k: int) -> tuple:
     """(sum_p C(k,p) (-Omega_1)^(k-p) Omega_p, its rounding bound) for k < alpha.
 
@@ -213,7 +208,7 @@ def _centered(alpha: float, k: int) -> float:
     """Centered moment of order k for k < alpha, without argument checks."""
     if _on_series(alpha, k):
         u = 1.0 / alpha
-        return _centered_from_series(u, k, _kernel(k, u))
+        return math.exp(k * log_gamma(1.0 - u)) * u**k * _kernel(k, u)
     total, rounding = _binomial(alpha, k)
     if rounding > _MAX_ROUNDING * abs(total):
         raise PrecisionLossError(
@@ -227,7 +222,7 @@ def _normalized(alpha: float, k: int) -> float:
     """Normalized centered moment of order k for alpha > 2 and k < alpha, unchecked."""
     if _on_series(alpha, k):
         u = 1.0 / alpha
-        return _normalized_from_series(u, k, _kernel(k, u))
+        return _kernel(k, u) / _kernel(2, u) ** (k / 2.0)
     return _centered(alpha, k) / _centered(alpha, 2) ** (k / 2.0)
 
 
@@ -363,14 +358,14 @@ def skewness(d: FrechetShape) -> float:
     """Normalized third centered moment for alpha > 3, +inf otherwise."""
     if d.alpha <= 3.0:
         return math.inf
-    return normalized_centered_moment(d, 3)
+    return _normalized(d.alpha, 3)
 
 
 def excess_kurtosis(d: FrechetShape) -> float:
     """Kurtosis minus 3 for alpha > 4, +inf otherwise."""
     if d.alpha <= 4.0:
         return math.inf
-    return normalized_centered_moment(d, 4) - 3.0
+    return _normalized(d.alpha, 4) - 3.0
 
 
 def moment_report(d: FrechetShape, k: int) -> MomentReport:
@@ -388,8 +383,9 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
         if _on_series(d.alpha, k):
             u = 1.0 / d.alpha
             s_k = _kernel(k, u)
-            centered = _centered_from_series(u, k, s_k)
-            normalized = _normalized_from_series(u, k, s_k)
+            centered = math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
+            # S_2 / S_2^1.0 is exactly 1.0
+            normalized = 1.0 if k == 2 else s_k / _kernel(2, u) ** (k / 2.0)
         else:
             try:
                 centered = _centered(d.alpha, k)
@@ -397,4 +393,4 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
                 pass
             else:
                 normalized = centered / _centered(d.alpha, 2) ** (k / 2.0)
-    return MomentReport(order=k, raw=raw, centered=centered, normalized=normalized, defined=defined)
+    return MomentReport(k, raw, centered, normalized, defined)

@@ -83,6 +83,8 @@ def gamma(z: float) -> float:
     step Gamma(z) = Gamma(z+1)/z for z in (-1, 0), which is the only
     negative range this package needs.
     """
+    if 0.0 < z <= _GAMMA_OVERFLOW:
+        return math.gamma(z)
     if not math.isfinite(z):
         raise DomainError(f"gamma requires a finite argument, got {z!r}")
     if z <= 0.0 and z == math.floor(z):
@@ -91,16 +93,14 @@ def gamma(z: float) -> float:
         raise GammaRangeError(f"gamma({z}) overflows 64-bit floating point")
     if -1.0 < z < 0.0:
         return math.gamma(z + 1.0) / z
-    if z < 0.0:
-        raise DomainError(f"gamma not supported for z <= -1, got {z}")
-    return math.gamma(z)
+    raise DomainError(f"gamma not supported for z <= -1, got {z}")
 
 
 def log_gamma(z: float) -> float:
     """Natural log of Gamma(z) for z > 0; stable where gamma would overflow."""
-    if not (z > 0.0) or not math.isfinite(z):
-        raise DomainError(f"log_gamma requires z > 0, got {z!r}")
-    return math.lgamma(z)
+    if 0.0 < z < math.inf:
+        return math.lgamma(z)
+    raise DomainError(f"log_gamma requires z > 0, got {z!r}")
 
 
 def gamma_laurent(z: float, order: int = 2) -> float:

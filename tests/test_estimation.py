@@ -246,6 +246,15 @@ class TestSolverEvaluations:
         # skewness exceeds the tolerance; 17 from the tangent seed
         assert max(counts) <= 14
 
+    def test_seed_within_ftol_needs_no_far_point(self):
+        far_points = []
+        far = lambda x, fx: far_points.append(x) or x + 0.25
+        f = lambda x: 0.5 - x + 1e-13
+        assert estimation._root(f, 0.5, far, 0.0, 1.0, 1e-12, 50) == (0.5, f(0.5), 1)
+        assert far_points == []
+        assert estimation._root(f, 0.125, far, 0.0, 1.0, 1e-12, 50)[0] == pytest.approx(0.5)
+        assert far_points == [0.125]
+
     def test_fit_tolerance_covers_the_binomial_rounding(self, monkeypatch):
         # below alpha = 6 the skewness is a binomial Gamma sum, good only to its
         # rounding bound; solving to that bound instead of 8 ulps of 1/s took the
@@ -550,6 +559,19 @@ class TestFitLocationScale:
             u = 1e-9 * ((1.0 / 3.0) / 1e-9) ** (i / 2999)
             u = min(u, 1.0 / (3.0 + 1e-9))
             assert skewness(FrechetShape(1.0 / u)) >= s_inf + c1 * u - 4 * math.ulp(s_inf), u
+
+    def test_scale_and_location_from_the_public_moments(self):
+        # the fit evaluates the kernels; the public functions give the same bits
+        for alpha in _EVALUATION_GRID:
+            if alpha > 3.0:
+                shape = FrechetShape(alpha)
+                stats = SampleStats(count=10**6, mean=3.0 + 2.0 * raw_moment(shape, 1),
+                                    variance=4.0 * shape_variance(alpha), skewness=skewness(shape),
+                                    excess_kurtosis=0.0)
+                fit = fit_location_scale(stats)
+                scale = math.sqrt(stats.variance / shape_variance(fit.alpha))
+                assert fit.scale == scale, alpha
+                assert fit.location == stats.mean - scale * raw_moment(FrechetShape(fit.alpha), 1), alpha
 
     def test_rejects_tiny_sample(self):
         stats = SampleStats(count=2, mean=0.0, variance=1.0, skewness=2.0, excess_kurtosis=0.0)

@@ -318,7 +318,10 @@ class TestSeriesKernel:
             assert abs(got - normalized) <= 1e-11 * abs(normalized), alpha
 
     def test_skewness_and_kurtosis_are_the_normalized_moments(self):
-        for alpha in (3.5, 5.0, 8.0, 1e3, 1e8):
+        # bit for bit, on the 400-point grid of the benchmark and a few more
+        for alpha in [3.5, 5.0, 8.0, 1e3] + [2.01 * (1e8 / 2.01) ** (i / 399) for i in range(400)]:
+            if alpha <= 3.0:
+                continue
             shape = FrechetShape(alpha)
             assert skewness(shape) == normalized_centered_moment(shape, 3)
             if alpha > 4.0:
@@ -432,14 +435,18 @@ class TestMomentReport:
         r = moment_report(FrechetShape(5.0), 1)
         assert r.defined and r.centered is None and r.normalized is None
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [*range(2, 9), 12, 21])
     def test_same_values_as_the_moment_functions(self, k):
-        # one S_k evaluation serves both columns, bit for bit
+        # one S_k evaluation serves both columns, bit for bit; at orders 12
+        # and 21 some binomial sums lose their digits and both columns are None
         for i in range(400):
             alpha = 2.01 * (1e8 / 2.01) ** (i / 399)
             if k >= alpha:
                 continue
             shape = FrechetShape(alpha)
+            try:
+                expected = centered_moment(shape, k), normalized_centered_moment(shape, k)
+            except PrecisionLossError:
+                expected = None, None
             r = moment_report(shape, k)
-            assert r.centered == centered_moment(shape, k), alpha
-            assert r.normalized == normalized_centered_moment(shape, k), alpha
+            assert (r.centered, r.normalized) == expected, alpha

@@ -14,7 +14,7 @@ from frechetfit import (
     gamma_plus_one_taylor,
     log_gamma,
 )
-from frechetfit.special_functions import ZETA
+from frechetfit.special_functions import _GAMMA_OVERFLOW, ZETA
 from oracles import euler_gamma_series, zeta2_series, zeta3_series
 
 
@@ -80,10 +80,30 @@ class TestGamma:
         # Gamma(1 - 2/5) - Gamma(1 - 1/5)^2 is the reference variance 0.133761
         assert gamma(0.6) - gamma(0.8) ** 2 == pytest.approx(0.133761, abs=5e-7)
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -10.0])
+    @pytest.mark.parametrize("z", [0.0, -0.0, -1.0, -2.0, -10.0])
     def test_pole_error(self, z):
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError) as exc:
             gamma(z)
+        assert str(exc.value) == f"gamma has a pole at z = {z}"
+
+    @pytest.mark.parametrize("z, expected", [
+        (math.nan, DomainError("gamma requires a finite argument, got nan")),
+        (math.inf, DomainError("gamma requires a finite argument, got inf")),
+        (-math.inf, DomainError("gamma requires a finite argument, got -inf")),
+        (-0.5, math.gamma(0.5) / -0.5),
+        (-1.5, DomainError("gamma not supported for z <= -1, got -1.5")),
+        (_GAMMA_OVERFLOW, math.gamma(_GAMMA_OVERFLOW)),
+        (math.nextafter(_GAMMA_OVERFLOW, math.inf),
+         GammaRangeError(f"gamma({math.nextafter(_GAMMA_OVERFLOW, math.inf)}) overflows 64-bit floating point")),
+    ])
+    def test_edges_of_the_domain(self, z, expected):
+        # the value, or the error type and message, on each side of every check
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as exc:
+                gamma(z)
+            assert str(exc.value) == str(expected)
+        else:
+            assert gamma(z) == expected
 
     def test_overflow_range_error(self):
         with pytest.raises(GammaRangeError):
@@ -112,10 +132,15 @@ class TestLogGamma:
     def test_consistent_with_gamma(self):
         assert log_gamma(0.6) == pytest.approx(math.log(gamma(0.6)), rel=1e-13)
 
-    @pytest.mark.parametrize("z", [0.0, -1.5])
+    @pytest.mark.parametrize("z", [0.0, -1.5, -0.0, -0.5, -1.0, math.nan, math.inf, -math.inf])
     def test_domain_error(self, z):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             log_gamma(z)
+        assert str(exc.value) == f"log_gamma requires z > 0, got {z!r}"
+
+    @pytest.mark.parametrize("z", [_GAMMA_OVERFLOW, math.nextafter(_GAMMA_OVERFLOW, math.inf)])
+    def test_finite_where_gamma_overflows(self, z):
+        assert log_gamma(z) == math.lgamma(z)
 
     def test_no_overflow_for_large_argument(self):
         assert log_gamma(1000.0) == pytest.approx(math.lgamma(1000.0))
