@@ -18,10 +18,9 @@ series in sqrt(V), and the skewness series reverted in skewness - s_inf
 (frechet._variance_reversion, frechet._skewness_reversion).  Above alpha of
 about 11 and 13 respectively they give u to float64 precision, and the solve
 stops at its first evaluation.  Below that each starts from closed-form bounds
-that include the pole of the highest Gamma factor.
-
-As in frechet, public functions check their arguments once; the solves and
-the fit then evaluate frechet's unchecked kernels, not its public functions.
+that include the pole of the highest Gamma factor.  Public functions check
+their arguments once; the solves and the fit then call frechet's unchecked
+kernels, not its public functions.
 
 EstimateResult, CubicCoefficients and SampleStats are typing.NamedTuples.
 """
@@ -33,18 +32,16 @@ from typing import NamedTuple, Sequence
 from .errors import DegenerateFitError, DomainError, InsufficientDataError, NoConvergenceError
 from .frechet import (
     FrechetParams,
-    FrechetShape,
     _binomial,
     _centered,
     _normalized,
+    _omega,
     _on_series,
     _skewness_reversion,
     _sum_reversion,
     _variance_reversion,
-    shape_variance,
-    skewness,
 )
-from .special_functions import CONSTANTS, gamma
+from .special_functions import CONSTANTS
 
 __all__ = [
     "Method",
@@ -61,7 +58,7 @@ __all__ = [
 _ALPHA_MIN = 2.0 + 1e-9
 _ALPHA_MAX = 1e9
 # skewness ~ Gamma(1 - 3u) / V(1/3)^1.5 ~ 1 / ((1 - 3u) V(1/3)^1.5) as u -> 1/3
-_POLE_SKEWNESS_SCALE = shape_variance(3.0) ** 1.5
+_POLE_SKEWNESS_SCALE = _centered(3.0, 2) ** 1.5
 
 
 class Method(enum.Enum):
@@ -376,7 +373,7 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     chord = lambda u, fu: u * (s - s_inf) / (1.0 / (fu + target) - s_inf)
     root = _root(f, u0, chord, lo, hi, ftol, 200)
     if root is None:
-        if s < skewness(FrechetShape(_ALPHA_MAX)):
+        if s < _normalized(_ALPHA_MAX, 3):
             raise DegenerateFitError(
                 f"sample skewness {s} needs alpha > {_ALPHA_MAX:g}: it is at or near the "
                 f"alpha -> inf limit 12*sqrt(6)*zeta(3)/pi^3 = {s_inf:.7f}"
@@ -384,5 +381,5 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
         raise DegenerateFitError(f"sample skewness {s} requires alpha <= 3")
     alpha = 1.0 / root[0]
     scale = math.sqrt(stats.variance / _centered(alpha, 2))
-    location = stats.mean - scale * gamma((alpha - 1.0) / alpha)
+    location = stats.mean - scale * _omega(alpha, 1)
     return FrechetParams(location, scale, alpha)

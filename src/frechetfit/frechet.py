@@ -7,10 +7,9 @@ expansion in the Omega_p below; normalized ones need alpha > 2 as well.  Where
 the binomial sum cancels too many digits to leave an answer (high orders at
 large alpha) it raises PrecisionLossError.  The variance and skewness series,
 reverted to u as power series in sqrt(V) and in skewness - s_inf, seed the
-inverse solves in estimation.
-
-Public functions check their arguments once, then call the unchecked
-kernels _centered, _normalized, _kernel and _binomial, not one another.
+inverse solves in estimation.  Public functions check their arguments once,
+then call the unchecked kernels (_omega, _centered, _normalized, _kernel,
+_binomial), not one another.
 
 The records are typing.NamedTuples, which need neither dataclasses nor
 inspect at import; FrechetShape and FrechetParams check their fields in
@@ -189,6 +188,11 @@ def _on_series(alpha: float, k: int) -> bool:
     return alpha >= 2 * k and k <= _MAX_SERIES_ORDER
 
 
+def _omega(alpha: float, p: int) -> float:
+    """Omega_p = Gamma(1 - p/alpha) for p < alpha, unchecked; (alpha - p) / alpha is exact next to the pole."""
+    return gamma((alpha - p) / alpha)
+
+
 def _binomial(alpha: float, k: int) -> tuple:
     """(sum_p C(k,p) (-Omega_1)^(k-p) Omega_p, its rounding bound) for k < alpha.
 
@@ -311,7 +315,7 @@ def raw_moment(d: FrechetShape, k: int) -> float:
         raise UndefinedMomentError(
             f"raw moment of order {k} diverges for alpha = {d.alpha} (needs k < alpha)"
         )
-    return gamma((d.alpha - k) / d.alpha)
+    return _omega(d.alpha, k)
 
 
 def centered_moment(d: FrechetShape, k: int) -> float:
@@ -377,15 +381,14 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
     normalized_centered_moment.
     """
     defined = k < d.alpha
-    raw = gamma((d.alpha - k) / d.alpha) if defined else None
+    raw = _omega(d.alpha, k) if defined else None
     centered = normalized = None
     if defined and k >= 2:
         if _on_series(d.alpha, k):
             u = 1.0 / d.alpha
             s_k = _kernel(k, u)
             centered = math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
-            # S_2 / S_2^1.0 is exactly 1.0
-            normalized = 1.0 if k == 2 else s_k / _kernel(2, u) ** (k / 2.0)
+            normalized = s_k / _kernel(2, u) ** (k / 2.0)
         else:
             try:
                 centered = _centered(d.alpha, k)

@@ -140,10 +140,14 @@ def _scan(text: str, column: Optional[str]) -> list[float]:
 _SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
+# Bytes of which a file of one token a line holds none.
+_NOT_ONE_PER_LINE = (b"\r", b" ", b"\t")
+
+
 def _loadtxt_plan(
     open_binary: Callable[[], BinaryIO], column: Optional[str]
-) -> Optional[tuple[int, int, Optional[int], bool]]:
-    """The (skiprows, usecols, count, crlf) with which np.loadtxt or _read_plain reads the stream as _scan does.
+) -> Optional[tuple[int, int, Optional[int]]]:
+    """The (skiprows, usecols, count) with which np.loadtxt or _read_plain reads the stream as _scan does.
 
     `open_binary` opens the bytes afresh on each call.  The first pass reads
     them in blocks of _CHUNK bytes and returns None where np.loadtxt could
@@ -153,30 +157,20 @@ def _loadtxt_plan(
     not one token a line, it also counts the lines.  The second
     reads lines up to the first non-blank one, which is the header or the
     first value.  The third item is the number of lines after skiprows if
-    the stream holds no space, tab or blank line, and no carriage return
-    but one that directly precedes a newline, and else None; the fourth
-    tells whether it holds such a carriage return.
+    the stream holds no whitespace, carriage return or blank line, and
+    else None.
     """
-    lines, one_per_line, crlf, last = 0, True, False, b"\n"
+    lines, one_per_line, last = 0, True, b"\n"
     with open_binary() as fh:
         for block in iter(partial(fh.read, _CHUNK), b""):
-            if block[-1:] == b"\r":
-                block += fh.read(1)  # a \r\n in one block
             if b"," in block or not block.isascii() or any(b in block for b in _SPLITLINES_ONLY_BREAKS):
                 return None
             if one_per_line:
-                byte = np.frombuffer(block, dtype=np.uint8)
-                newline = byte == 10
+                newline = np.frombuffer(block, dtype=np.uint8) == 10
                 lines += int(np.count_nonzero(newline))
                 # a newline after a newline, or first in the file, ends a blank line
                 blank = newline[0] and last == b"\n" or (newline[1:] & newline[:-1]).any()
-                stray_cr = False
-                if b"\r" in block:
-                    # a \r must end a line that is not blank, directly before its \n
-                    crlf, cr = True, byte == 13
-                    stray_cr = cr[-1] or (cr[:-1] > newline[1:]).any() or (
-                        cr[0] and last == b"\n" or (newline[:-1] & cr[1:]).any())
-                one_per_line = not (blank or stray_cr or b" " in block or b"\t" in block)
+                one_per_line = not (blank or any(b in block for b in _NOT_ONE_PER_LINE))
                 last = block[-1:]
     with io.TextIOWrapper(open_binary(), encoding="ascii") as fh:
         for lineno, line in enumerate(iter(fh.readline, ""), start=1):
@@ -189,7 +183,7 @@ def _loadtxt_plan(
     skiprows = lineno if is_header else 0
     # a last line without a newline counts too
     lines += last != b"\n"
-    return skiprows, col_index, (lines - skiprows if one_per_line else None), crlf
+    return skiprows, col_index, (lines - skiprows if one_per_line else None)
 
 
 def _load(
@@ -404,9 +398,7 @@ def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def _read_plain(
-    open_binary: Callable[[], BinaryIO], skiprows: int, count: int, crlf: bool
-) -> Optional[np.ndarray]:
+def _read_plain(open_binary: Callable[[], BinaryIO], skiprows: int, count: int) -> Optional[np.ndarray]:
     """The `count` values after `skiprows` lines, one a line; None if _parse_lines fails on one.
 
     The stream is read _READ bytes at a time into one _LineWorkspace; the
@@ -420,11 +412,6 @@ def _read_plain(
         while True:
             got = fh.readinto(raw[32 + held:32 + _READ])
             end = 32 + held + got
-            if crlf:  # drop each \r, which _loadtxt_plan let through only before a \n
-                kept = raw[32 + held:end]
-                kept = kept[kept != ord("\r")]
-                end = 32 + held + kept.size
-                raw[32 + held:end] = kept
             if got == 0:
                 if held == 0:
                     break
@@ -462,8 +449,8 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     encoding raise ParseError too.
 
     Block reads first check the format and count the lines.  An ASCII file
-    of one token a line, with no comma, space, tab or blank line, and LF or
-    CRLF line ends, is parsed a block at a time by _read_plain into an array of
+    of one token a line, with no comma, whitespace, carriage return or
+    blank line, is parsed a block at a time by _read_plain into an array of
     that many values, bit for bit as float() parses each line.  One
     np.loadtxt call reads any other whitespace-delimited ASCII file, and a
     file that _read_plain turns back (a token float() rejects, a nan or an
@@ -481,9 +468,9 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     plan = _loadtxt_plan(open_binary, column)
     values = None
     if plan is not None:
-        skiprows, col_index, count, crlf = plan
+        skiprows, col_index, count = plan
         if count is not None and sys.byteorder == "little":
-            values = _read_plain(open_binary, skiprows, count, crlf)
+            values = _read_plain(open_binary, skiprows, count)
         if values is None:
             # np.loadtxt reads a file faster than text held in memory
             source = path if data is None else io.TextIOWrapper(open_binary(), encoding="ascii")

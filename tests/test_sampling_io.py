@@ -147,12 +147,6 @@ BELOW_POW2 = ["0.99999999999999994", "1.9999999999999998", "0.49999999999999997"
               "0.12499999999999999", "0.0000009536743164062499"]
 
 
-# CRLF lines of which the first read of the plain reader ends between the \r
-# and the \n of the line _CRLF_CUT, as does a block of _loadtxt_plan
-_CRLF_HEAD = "1.25\r\n" * ((sampling_io._READ - 4) // 6)
-_CRLF_CUT = "1" * (sampling_io._READ - 1 - len(_CRLF_HEAD))
-
-
 class TestReadSamples:
     def test_plain_values(self, tmp_path):
         p = tmp_path / "plain.txt"
@@ -201,9 +195,6 @@ class TestReadSamples:
             ("1.0\x0b2.0\n", None, [1.0, 2.0], False),
             ("t value\n0 1.5\n1,2.5\n", "value", [1.5, 2.5], False),
             ("1_000\n", None, [1000.0], False),
-            # a \r that is not directly before a \n, or that makes a blank line
-            ("1.0\r\n2.0\r3.0\r\n", None, [1.0, 2.0, 3.0], True),
-            ("\r\n1.0\r\n2.0", None, [1.0, 2.0], True),
             # "plain": the plain-decimal reader, neither np.loadtxt nor the scanner
             *(pytest.param(text, column, [float(t) for t in expected], "plain", id=name)
               for name, text, column, expected in [
@@ -216,11 +207,6 @@ class TestReadSamples:
                 ("header", "value\n1.5\n2.5\n", None, ["1.5", "2.5"]),
                 ("split-by-a-read", "1.25\n" * (sampling_io._READ // 5) + "3.0625\n",
                  None, ["1.25"] * (sampling_io._READ // 5) + ["3.0625"]),
-                ("crlf", "value\r\n1.5\r\n-2.5e-07\r\n", None, ["1.5", "-2.5e-07"]),
-                ("crlf-and-lf", "1.5\r\n2.25\n-3e-05\r\n0.125\n", None, ["1.5", "2.25", "-3e-05", "0.125"]),
-                ("crlf-no-last-newline", "1.5\r\n-2.25", None, ["1.5", "-2.25"]),
-                ("crlf-split-by-a-read", _CRLF_HEAD + _CRLF_CUT + "\r\n0.5\r\n",
-                 None, ["1.25"] * (len(_CRLF_HEAD) // 6) + [_CRLF_CUT, "0.5"]),
             ]),
         ],
     )
