@@ -198,10 +198,10 @@ def _binomial(alpha: float, k: int) -> tuple:
 
     The rounding error of k + 1 alternating terms is about eps (k + 1) sum|term|.
     """
-    omega1 = gamma((alpha - 1.0) / alpha)
+    omega1 = _omega(alpha, 1)
     total = magnitude = 0.0
     for p in range(k + 1):
-        omega_p = 1.0 if p == 0 else gamma((alpha - p) / alpha)
+        omega_p = 1.0 if p == 0 else _omega(alpha, p)
         term = math.comb(k, p) * omega1 ** (k - p) * omega_p
         total += term if (k - p) % 2 == 0 else -term
         magnitude += term  # every term is positive

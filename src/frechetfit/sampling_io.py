@@ -17,7 +17,6 @@ __new__, as frechet.FrechetParams checks its fields.
 import io
 import math
 import sys
-import warnings
 from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, NamedTuple, Optional, Sequence, Union
@@ -136,77 +135,38 @@ def _scan(text: str, column: Optional[str]) -> list[float]:
     return values
 
 
-# Line breaks of str.splitlines() that np.loadtxt reads as field whitespace.
-_SPLITLINES_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# Bytes of which a file of one plain token a line holds none: a comma, a
+# space, a tab, and the ASCII line breaks of str.splitlines() other than "\n".
+_NOT_PLAIN = (b",", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-# Bytes of which a file of one token a line holds none.
-_NOT_ONE_PER_LINE = (b"\r", b" ", b"\t")
+def _plain_plan(open_binary: Callable[[], BinaryIO], column: Optional[str]) -> Optional[tuple[int, int]]:
+    """The (skiprows, count) with which _read_plain reads the stream as _scan does, or None.
 
-
-def _loadtxt_plan(
-    open_binary: Callable[[], BinaryIO], column: Optional[str]
-) -> Optional[tuple[int, int, Optional[int]]]:
-    """The (skiprows, usecols, count) with which np.loadtxt or _read_plain reads the stream as _scan does.
-
-    `open_binary` opens the bytes afresh on each call.  The first pass reads
-    them in blocks of _CHUNK bytes and returns None where np.loadtxt could
-    split lines or fields differently: non-ASCII text, line breaks that only
-    str.splitlines knows, and any comma, since _split drops the empty comma
-    fields that np.loadtxt counts.  Until a block shows that the stream is
-    not one token a line, it also counts the lines.  The second
-    reads lines up to the first non-blank one, which is the header or the
-    first value.  The third item is the number of lines after skiprows if
-    the stream holds no whitespace, carriage return or blank line, and
-    else None.
+    `open_binary` opens the bytes afresh on each call.  The stream is read
+    in blocks of _CHUNK bytes, counting the lines, and the first block that
+    holds a byte of _NOT_PLAIN, a non-ASCII byte or a blank line gives
+    None.  skiprows is 1 if the first line is a header, and count the
+    number of lines after it.
     """
-    lines, one_per_line, last = 0, True, b"\n"
+    lines, last = 0, b"\n"
     with open_binary() as fh:
         for block in iter(partial(fh.read, _CHUNK), b""):
-            if b"," in block or not block.isascii() or any(b in block for b in _SPLITLINES_ONLY_BREAKS):
+            newline = np.frombuffer(block, dtype=np.uint8) == 10
+            # a newline after a newline, or first in the file, ends a blank line
+            blank = newline[0] and last == b"\n" or (newline[1:] & newline[:-1]).any()
+            if blank or not block.isascii() or any(b in block for b in _NOT_PLAIN):
                 return None
-            if one_per_line:
-                newline = np.frombuffer(block, dtype=np.uint8) == 10
-                lines += int(np.count_nonzero(newline))
-                # a newline after a newline, or first in the file, ends a blank line
-                blank = newline[0] and last == b"\n" or (newline[1:] & newline[:-1]).any()
-                one_per_line = not (blank or any(b in block for b in _NOT_ONE_PER_LINE))
-                last = block[-1:]
-    with io.TextIOWrapper(open_binary(), encoding="ascii") as fh:
-        for lineno, line in enumerate(iter(fh.readline, ""), start=1):
-            tokens = _split(line)
-            if tokens:
-                break
-        else:
-            return None
-    col_index, is_header = _layout(tokens, column, lineno)
-    skiprows = lineno if is_header else 0
+            lines += int(np.count_nonzero(newline))
+            last = block[-1:]
+        fh.seek(0)
+        tokens = _split(fh.readline().decode("ascii"))
+    if not tokens:
+        return None
+    _, is_header = _layout(tokens, column, 1)
     # a last line without a newline counts too
     lines += last != b"\n"
-    return skiprows, col_index, (lines - skiprows if one_per_line else None)
-
-
-def _load(
-    source: Union[str, Path, io.TextIOWrapper], skiprows: int, col_index: int
-) -> Optional[np.ndarray]:
-    """One np.loadtxt call; None if it raises or yields a non-finite value."""
-    try:
-        with warnings.catch_warnings():
-            # a header-only file: the caller raises EmptyInputError
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            x = np.loadtxt(
-                source,
-                comments=None,
-                skiprows=skiprows,
-                usecols=col_index,
-                ndmin=1,
-                encoding="ascii",
-            )
-    except ValueError:
-        return None
-    if not np.isfinite(x).all():
-        return None
-    return x
+    return int(is_header), lines - is_header
 
 
 # The plain-decimal reader reads _READ bytes at a time and parses up to
@@ -448,16 +408,13 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     ParseError with its line number; bytes that do not decode in the locale
     encoding raise ParseError too.
 
-    Block reads first check the format and count the lines.  An ASCII file
-    of one token a line, with no comma, whitespace, carriage return or
-    blank line, is parsed a block at a time by _read_plain into an array of
-    that many values, bit for bit as float() parses each line.  One
-    np.loadtxt call reads any other whitespace-delimited ASCII file, and a
-    file that _read_plain turns back (a token float() rejects, a nan or an
-    infinity), so that a regular file is held only as the returned array;
-    comma files, other text, and files where that call fails are read whole
-    and go to the line scanner, which also reports the offending line.  A
-    pipe, which can be read only once, is read whole first.
+    A file of one plain decimal a line, ASCII with no comma, whitespace,
+    carriage return or blank line, is parsed a block at a time by
+    _read_plain into an array sized by its line count, bit for bit as
+    float() parses each line.  Every other file, and one that _read_plain
+    turns back (a token float() rejects, a nan or an infinity), is read
+    whole and goes to the line scanner, which also reports the offending
+    line.  A pipe, which can be read only once, is read whole first.
     """
     if Path(path).is_file():
         data, open_binary = None, partial(open, path, "rb")
@@ -465,16 +422,9 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
         # a pipe can be read only once
         data = Path(path).read_bytes()
         open_binary = partial(io.BytesIO, data)
-    plan = _loadtxt_plan(open_binary, column)
-    values = None
-    if plan is not None:
-        skiprows, col_index, count = plan
-        if count is not None and sys.byteorder == "little":
-            values = _read_plain(open_binary, skiprows, count)
-        if values is None:
-            # np.loadtxt reads a file faster than text held in memory
-            source = path if data is None else io.TextIOWrapper(open_binary(), encoding="ascii")
-            values = _load(source, skiprows, col_index)
+    # _parse_lines takes the bytes as little-endian words
+    plan = _plain_plan(open_binary, column) if sys.byteorder == "little" else None
+    values = None if plan is None else _read_plain(open_binary, *plan)
     if values is None:
         if data is None:
             data = Path(path).read_bytes()

@@ -177,16 +177,15 @@ class TestReadSamples:
         assert read_samples(p).tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize(
-        "text, column, expected, fast",
+        "text, column, expected, plain",
         [
-            ("\n\n1.0\n2.0\n", None, [1.0, 2.0], True),
-            ("1.0\n\n  \n2.0\n\t\n3.0\n", None, [1.0, 2.0, 3.0], True),
-            ("1.0\n2.0\n\n\n", None, [1.0, 2.0], True),
-            ("\n\nvalue\n\n1.0\n2.0\n", None, [1.0, 2.0], True),
-            ("value\r\n1.0\r\n\r\n2.0\r\n", None, [1.0, 2.0], True),
-            ("1.0\r2.0\r", None, [1.0, 2.0], True),
-            ("t  value\n0\t1.5\n 1   2.5 \n", "value", [1.5, 2.5], True),
-            # np.loadtxt would split these otherwise, so the scanner reads them
+            ("\n\n1.0\n2.0\n", None, [1.0, 2.0], False),
+            ("1.0\n\n  \n2.0\n\t\n3.0\n", None, [1.0, 2.0, 3.0], False),
+            ("1.0\n2.0\n\n\n", None, [1.0, 2.0], False),
+            ("\n\nvalue\n\n1.0\n2.0\n", None, [1.0, 2.0], False),
+            ("value\r\n1.0\r\n\r\n2.0\r\n", None, [1.0, 2.0], False),
+            ("1.0\r2.0\r", None, [1.0, 2.0], False),
+            ("t  value\n0\t1.5\n 1   2.5 \n", "value", [1.5, 2.5], False),
             ("t,value,w\n0,1.5,9\n1,2.5,9\n", "value", [1.5, 2.5], False),
             ("1.5,\n2.5,\n", None, [1.5, 2.5], False),
             ("t,value\n0,1.5,\n", "value", [1.5], False),
@@ -195,8 +194,8 @@ class TestReadSamples:
             ("1.0\x0b2.0\n", None, [1.0, 2.0], False),
             ("t value\n0 1.5\n1,2.5\n", "value", [1.5, 2.5], False),
             ("1_000\n", None, [1000.0], False),
-            # "plain": the plain-decimal reader, neither np.loadtxt nor the scanner
-            *(pytest.param(text, column, [float(t) for t in expected], "plain", id=name)
+            # the plain-decimal reader, not the scanner
+            *(pytest.param(text, column, [float(t) for t in expected], True, id=name)
               for name, text, column, expected in [
                 ("forms", "\n".join(FORMS) + "\n", None, FORMS),
                 ("digits-18-to-25", "\n".join(SIGNIFICANT) + "\n", None, SIGNIFICANT),
@@ -210,15 +209,10 @@ class TestReadSamples:
             ]),
         ],
     )
-    def test_matches_scanner(self, tmp_path, monkeypatch, text, column, expected, fast):
-        # fast: True for np.loadtxt alone, "plain" for the plain-decimal reader alone
+    def test_matches_scanner(self, tmp_path, monkeypatch, text, column, expected, plain):
         assert _scan(text, column) == expected
-        if fast:
+        if plain:
             monkeypatch.setattr(sampling_io, "_scan", None)
-        if fast is True:
-            monkeypatch.setattr(sampling_io, "_read_plain", None)
-        if fast == "plain":
-            monkeypatch.setattr(sampling_io, "_load", None)
         p = tmp_path / "case.txt"
         p.write_bytes(text.encode())
         x = read_samples(p, column=column)
@@ -226,16 +220,17 @@ class TestReadSamples:
         assert x.tobytes() == np.array(expected).tobytes()  # the sign of zero too
 
     @pytest.mark.parametrize(
-        "text, column, expected, fast",
+        "text, column, expected, plain",
         [
-            ("1.0\n\n2.0\n", None, [1.0, 2.0], True),
+            ("1.0\n\n2.0\n", None, [1.0, 2.0], False),
             ("t,value\n0,1.5\n", "value", [1.5], False),
+            ("value\n1.0\n2.0\n", None, [1.0, 2.0], True),
         ],
     )
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_reads_pipe(self, monkeypatch, text, column, expected, fast):
+    def test_reads_pipe(self, monkeypatch, text, column, expected, plain):
         # a pipe can be read only once, so both paths must parse the bytes read
-        if fast:
+        if plain:
             monkeypatch.setattr(sampling_io, "_scan", None)
         r, w = os.pipe()
         try:
@@ -324,12 +319,11 @@ class TestReadSamples:
         p.write_text("\n".join(tokens) + "\n")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampling_io, "_scan", None)
-            mp.setattr(sampling_io, "_load", None)
             x = read_samples(p)
         assert x.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
-    # more than one read block of plain lines before the line under test
-    LEAD = "1.0\n" * (_CHUNK // 4 + 10)
+    # plain lines past the first block of the plan and of _read_plain, before the line under test
+    LEAD = "1.0\n" * (max(_CHUNK, sampling_io._READ) // 4 + 10)
 
     @pytest.mark.parametrize(
         "late",
@@ -339,17 +333,14 @@ class TestReadSamples:
             "2.5\x0b3.5\n",  # a line break only str.splitlines knows
             "2.5\u00e9\n",  # a non-ASCII letter: ParseError
             "a,b\n",  # ParseError
+            "nan\n",  # plain bytes that _read_plain turns back: ParseError
+            "1e400\n",  # the same for an overflow
         ],
-        ids=["comma", "nbsp", "vt", "letter", "comma-letters"],
+        ids=["comma", "nbsp", "vt", "letter", "comma-letters", "nan", "1e400"],
     )
-    def test_late_byte_routes_to_scanner(self, tmp_path, monkeypatch, late):
+    def test_late_byte_routes_to_scanner(self, tmp_path, late):
         text = self.LEAD + late + "3.0\n"
-        assert len(self.LEAD.encode()) > _CHUNK
-
-        def no_loadtxt(*args):
-            pytest.fail("np.loadtxt was given a file that the scanner must read")
-
-        monkeypatch.setattr(sampling_io, "_load", no_loadtxt)
+        assert len(self.LEAD.encode()) > max(_CHUNK, sampling_io._READ)
         p = tmp_path / "late.txt"
         p.write_text(text)
 
@@ -370,9 +361,7 @@ class TestReadSamples:
             ("\r" * (2 * _CHUNK), "value\r1.5\r\r2.5\r", "value", [1.5, 2.5]),
         ],
     )
-    def test_header_after_first_block(self, tmp_path, monkeypatch, blank, rest, column, expected):
-        # np.loadtxt reads these; a wrong header line number would send them to the scanner
-        monkeypatch.setattr(sampling_io, "_scan", None)
+    def test_header_after_first_block(self, tmp_path, blank, rest, column, expected):
         p = tmp_path / "lead.txt"
         p.write_bytes((blank + rest).encode())
         assert len(blank) > _CHUNK
@@ -586,7 +575,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_read_samples_faults_in_its_memory_once(tmp_path):
     # a fresh process; the plain-decimal reader parses every block in one
     # workspace, where buffers made anew for every block took about 80,000
-    # minor faults for these 1e6 values (np.loadtxt about 2,700)
+    # minor faults for these 1e6 values
     p = tmp_path / "s.txt"
     write_samples(p, sample(config(seed=77, count=10**6)))
     code = f"""
