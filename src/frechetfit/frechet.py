@@ -388,7 +388,8 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
             u = 1.0 / d.alpha
             s_k = _kernel(k, u)
             centered = math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
-            normalized = s_k / _kernel(2, u) ** (k / 2.0)
+            # s_k / s_k ** 1.0 is exactly 1.0 at k = 2
+            normalized = s_k / (s_k if k == 2 else _kernel(2, u)) ** (k / 2.0)
         else:
             try:
                 centered = _centered(d.alpha, k)

@@ -28,8 +28,8 @@ from .frechet import FrechetParams, _Validated
 
 __all__ = ["SamplerConfig", "sample", "read_samples", "write_samples"]
 
-# Values per block of the sampler, of sample_stats and of each fh.write, and
-# bytes per read of the reader's checks; a block's buffers stay under a megabyte.
+# Values per block of the sampler, of sample_stats and of each fh.write; a
+# block's buffers stay under a megabyte.
 _CHUNK = 1 << 15
 
 
@@ -135,35 +135,41 @@ def _scan(text: str, column: Optional[str]) -> list[float]:
     return values
 
 
-# Bytes of which a file of one plain token a line holds none: a comma, a
-# space, a tab, and the ASCII line breaks of str.splitlines() other than "\n".
-_NOT_PLAIN = (b",", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# _NOT_PLAIN[c] is True for each byte c that no line of a plain file holds:
+# a comma, a space, a tab, the ASCII line breaks of str.splitlines() other
+# than "\n", and every non-ASCII byte.
+_NOT_PLAIN = np.zeros(256, dtype=bool)
+_NOT_PLAIN[list(b", \t\r\x0b\x0c\x1c\x1d\x1e")] = True
+_NOT_PLAIN[0x80:] = True
 
 
 def _plain_plan(open_binary: Callable[[], BinaryIO], column: Optional[str]) -> Optional[tuple[int, int]]:
     """The (skiprows, count) with which _read_plain reads the stream as _scan does, or None.
 
-    `open_binary` opens the bytes afresh on each call.  The stream is read
-    in blocks of _CHUNK bytes, counting the lines, and the first block that
-    holds a byte of _NOT_PLAIN, a non-ASCII byte or a blank line gives
-    None.  skiprows is 1 if the first line is a header, and count the
-    number of lines after it.
+    `open_binary` opens the bytes afresh on each call.  Line 1 must be one
+    token with no byte of _NOT_PLAIN, or the plan is None; so it is where
+    _layout raises on that token, as _scan then does (or meets an error
+    first).  The stream is then read in blocks of _READ bytes, counting
+    newlines only: _parse_lines checks every line after a header.
+    skiprows is 1 if line 1 is a header, and count the number of lines
+    after it.
     """
     lines, last = 0, b"\n"
     with open_binary() as fh:
-        for block in iter(partial(fh.read, _CHUNK), b""):
-            newline = np.frombuffer(block, dtype=np.uint8) == 10
-            # a newline after a newline, or first in the file, ends a blank line
-            blank = newline[0] and last == b"\n" or (newline[1:] & newline[:-1]).any()
-            if blank or not block.isascii() or any(b in block for b in _NOT_PLAIN):
-                return None
-            lines += int(np.count_nonzero(newline))
-            last = block[-1:]
+        first = fh.readline()
+        if _NOT_PLAIN[np.frombuffer(first, dtype=np.uint8)].any():
+            return None
+        tokens = _split(first.decode("ascii"))
+        if len(tokens) != 1:
+            return None
+        try:
+            _, is_header = _layout(tokens, column, 1)
+        except ParseError:
+            return None
         fh.seek(0)
-        tokens = _split(fh.readline().decode("ascii"))
-    if not tokens:
-        return None
-    _, is_header = _layout(tokens, column, 1)
+        for block in iter(partial(fh.read, _READ), b""):
+            lines += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10))
+            last = block[-1:]
     # a last line without a newline counts too
     lines += last != b"\n"
     return int(is_header), lines - is_header
@@ -172,8 +178,8 @@ def _plain_plan(open_binary: Callable[[], BinaryIO], column: Optional[str]) -> O
 # The plain-decimal reader reads _READ bytes at a time and parses up to
 # _LINES lines at a time.  _TAIL[j, n] is word j of a 24-byte row, as three
 # little-endian words, whose last n bytes are 0xff and the others 0.
-_READ = 64 << 10
-_LINES = 3584
+_READ = 128 << 10
+_LINES = 7168
 _TAIL = np.frombuffer(
     b"".join((bytes(24 - n) + b"\xff" * n)[8 * j:8 * j + 8] for j in range(3) for n in range(25)), dtype=np.uint64
 ).reshape(3, 25)
@@ -186,7 +192,7 @@ class _LineWorkspace:
     that the 25 bytes before each line's end lie in it; words is raw as
     aligned 64-bit words, which the parser takes as little-endian.  w, i
     and b are scratch rows for _LINES lines, and t and flags scratch as
-    long as raw.  About 0.55 MB in all.
+    long as raw.  About 1.1 MB in all.
     """
 
     def __init__(self):
@@ -213,8 +219,9 @@ def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
     exact residual N - q * 10^k, from TwoProduct and the int64 remainder
     N - fl(N), moves q by one ulp where it exceeds half an ulp of q.  Every
     other line, and every line at a tie or within rounding of one, goes to
-    float().  Returns False where float() fails on a line (a blank one
-    too) or gives a nan or an infinity.
+    float().  Returns False where a line holds a byte of _NOT_PLAIN, or
+    where float() fails on a line (a blank one too) or gives a nan or an
+    infinity.
     """
     raw = ws.raw
     prev, ends = nl[:-1], nl[1:]
@@ -228,13 +235,15 @@ def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
     size -= 1
     # every byte but a digit, a point or a newline is a minus that starts
     # its line, or "e", a sign and two digits that end it, or the line goes
-    # to float(); t is scratch
+    # to float(); a byte of _NOT_PLAIN sends the file to _scan. t is scratch
     np.greater_equal(np.subtract(text, 48, out=t), 10, out=flags)
     flags &= np.not_equal(text, ord("."), out=t.view(bool))
     flags &= np.not_equal(text, 10, out=t.view(bool))
     odd = np.flatnonzero(flags)
     odd += lo
     c, sign = raw[odd], raw[odd + 1]
+    if _NOT_PLAIN[c].any():
+        return False
     is_exp = (c == ord("e")) & ((sign == ord("-")) | (sign == ord("+"))) & (raw[odd + 4] == 10)
     is_exp &= (raw[odd + 2] - 48 < 10) & (raw[odd + 3] - 48 < 10)
     fine = is_exp | (c == ord("-")) & (raw[odd - 1] == 10)
@@ -262,7 +271,8 @@ def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
     frac -= 1
     np.less(frac, 24, out=dotted)
     np.add(prev, 1, out=i0)
-    np.equal(np.take(raw, i0, out=t[:n], mode="clip"), ord("-"), out=neg)
+    # t can be shorter than n where lines are blank
+    np.equal(np.take(raw, i0, out=ws.t[:n], mode="clip"), ord("-"), out=neg)
     digits = np.subtract(size, dotted, out=i0)
     digits -= neg
     bad |= np.less(digits, 1, out=flag)
@@ -408,31 +418,32 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     ParseError with its line number; bytes that do not decode in the locale
     encoding raise ParseError too.
 
-    A file of one plain decimal a line, ASCII with no comma, whitespace,
-    carriage return or blank line, is parsed a block at a time by
-    _read_plain into an array sized by its line count, bit for bit as
-    float() parses each line.  Every other file, and one that _read_plain
-    turns back (a token float() rejects, a nan or an infinity), is read
-    whole and goes to the line scanner, which also reports the offending
-    line.  A pipe, which can be read only once, is read whole first.
+    A file of one plain decimal a line, after an optional one-token
+    header, is parsed by _read_plain into an array sized by a first pass
+    that counts its lines, bit for bit as float() parses each line.  A
+    file in which _read_plain meets a blank line, a byte of _NOT_PLAIN (a
+    comma, whitespace, a carriage return, a non-ASCII byte), a token
+    float() rejects, a nan or an infinity goes to the line scanner, which
+    also reports the offending line; so does every file on a big-endian
+    machine.  The scanner decodes the file whole and holds the text, not
+    the bytes.  A pipe, which can be read only once, is read whole first.
     """
     if Path(path).is_file():
-        data, open_binary = None, partial(open, path, "rb")
+        open_binary = partial(open, path, "rb")
     else:
         # a pipe can be read only once
-        data = Path(path).read_bytes()
-        open_binary = partial(io.BytesIO, data)
+        open_binary = partial(io.BytesIO, Path(path).read_bytes())
     # _parse_lines takes the bytes as little-endian words
     plan = _plain_plan(open_binary, column) if sys.byteorder == "little" else None
     values = None if plan is None else _read_plain(open_binary, *plan)
     if values is None:
-        if data is None:
-            data = Path(path).read_bytes()
         # decoded as open() does: locale encoding, universal newlines
         try:
-            text = io.TextIOWrapper(io.BytesIO(data)).read()
+            with io.TextIOWrapper(open_binary()) as fh:
+                text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not valid {exc.encoding} text: {exc.reason}") from None
+        del open_binary  # a pipe's bytes
         values = np.array(_scan(text, column), dtype=np.float64)
     if values.size == 0:
         raise EmptyInputError(f"no data values found in {path}")

@@ -147,6 +147,18 @@ BELOW_POW2 = ["0.99999999999999994", "1.9999999999999998", "0.49999999999999997"
               "0.12499999999999999", "0.0000009536743164062499"]
 
 
+def record_scans(monkeypatch):
+    """Patch sampling_io._scan to record each call; returns the list of their columns."""
+    calls = []
+
+    def scan(text, column):
+        calls.append(column)
+        return _scan(text, column)
+
+    monkeypatch.setattr(sampling_io, "_scan", scan)
+    return calls
+
+
 class TestReadSamples:
     def test_plain_values(self, tmp_path):
         p = tmp_path / "plain.txt"
@@ -335,14 +347,19 @@ class TestReadSamples:
             "a,b\n",  # ParseError
             "nan\n",  # plain bytes that _read_plain turns back: ParseError
             "1e400\n",  # the same for an overflow
+            "\n",  # a blank line
+            "2.5\r\n",  # a carriage return
+            " 2.5\n",  # a space
+            "2.5\t3.5\n",  # a tab: ParseError
         ],
-        ids=["comma", "nbsp", "vt", "letter", "comma-letters", "nan", "1e400"],
+        ids=["comma", "nbsp", "vt", "letter", "comma-letters", "nan", "1e400", "blank", "crlf", "space", "tab"],
     )
-    def test_late_byte_routes_to_scanner(self, tmp_path, late):
+    def test_late_byte_routes_to_scanner(self, tmp_path, monkeypatch, late):
         text = self.LEAD + late + "3.0\n"
         assert len(self.LEAD.encode()) > max(_CHUNK, sampling_io._READ)
         p = tmp_path / "late.txt"
         p.write_text(text)
+        scans = record_scans(monkeypatch)
 
         def outcome(read):
             try:
@@ -351,6 +368,39 @@ class TestReadSamples:
                 return exc.line
 
         assert outcome(lambda: read_samples(p)) == outcome(lambda: _scan(text, None))
+        assert scans
+
+    @pytest.mark.parametrize(
+        "header, column",
+        [
+            ("t value\n", None),
+            ("t value\n", "value"),  # ParseError: the plain lines hold one column
+            ("t,value\n", "value"),
+            ("t\x1fvalue\n", None),  # "\x1f" splits tokens but not lines
+            ("t\x1fvalue\n", "value"),
+            ("value\r1.0,\n", None),  # one token by the comma, two lines by the "\r"
+            ("valu\u00e9\n", None),  # a non-ASCII header
+            ("valu\u00e9\n", "valu\u00e9"),
+            ("value\n", "x"),  # ParseError from _layout
+        ],
+        ids=["space", "space-column", "comma-column", "us", "us-column", "cr-comma",
+             "non-ascii", "non-ascii-column", "missing-column"],
+    )
+    def test_header_routes_to_scanner(self, tmp_path, monkeypatch, header, column):
+        # the plain reader skips line 1 as a header only if it is one token of plain bytes
+        text = header + self.LEAD + "3.0\n"
+        p = tmp_path / "header.txt"
+        p.write_text(text)
+        scans = record_scans(monkeypatch)
+
+        def outcome(read):
+            try:
+                return [float(v) for v in read()]
+            except ParseError as exc:
+                return exc.line, str(exc)
+
+        assert outcome(lambda: read_samples(p, column=column)) == outcome(lambda: _scan(text, column))
+        assert scans
 
     @pytest.mark.parametrize(
         "blank, rest, column, expected",
@@ -618,3 +668,20 @@ class TestPeakMemory:
         x, peak = traced_peak(read_samples, p)
         assert x.size == self.N
         assert peak <= x.nbytes + self.SCRATCH
+
+    def test_read_samples_scanner(self, tmp_path):
+        # a CRLF file goes to _scan, which holds the text, its lines and a
+        # float per line; the file's bytes (5.8 MB) are dropped once decoded
+        p = tmp_path / "crlf.txt"
+        write_samples(p, sample(config(count=self.N)))
+        data = p.read_bytes().replace(b"\n", b"\r\n")
+        p.write_bytes(data)
+        text = data.decode("ascii").replace("\r\n", "\n")
+        del data
+        held = sys.getsizeof(text)
+        for seq in (text.splitlines(), _scan(text, None)):
+            held += sys.getsizeof(seq) + sum(map(sys.getsizeof, seq))
+        del text
+        x, peak = traced_peak(read_samples, p)
+        assert x.size == self.N
+        assert peak <= held + self.SCRATCH
