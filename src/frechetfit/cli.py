@@ -230,7 +230,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    # scipy.integrate takes most of the CLI's start-up; only this command uses it
+    # imported here, not at the top: without cached bytecode, compiling and
+    # importing checks costs 2-3 ms, which every other command would pay
     from .checks import run_checks
 
     grid = args.alpha_grid if args.alpha_grid else None

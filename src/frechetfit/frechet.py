@@ -117,7 +117,13 @@ def pdf(d: FrechetParams, x: float) -> float:
     if x <= d.location:
         return 0.0
     y = (x - d.location) / d.scale
-    return (d.alpha / d.scale) * y ** (-1.0 - d.alpha) * math.exp(-(y**-d.alpha))
+    try:
+        z = y**-d.alpha
+    except OverflowError:  # the density underflows long before z overflows
+        return 0.0
+    if z > 746.0:  # exp(-z) underflows to 0, and y**(-1 - alpha) may overflow
+        return 0.0
+    return (d.alpha / d.scale) * y ** (-1.0 - d.alpha) * math.exp(-z)
 
 
 def cdf(d: FrechetParams, x: float) -> float:
@@ -125,7 +131,10 @@ def cdf(d: FrechetParams, x: float) -> float:
     if x <= d.location:
         return 0.0
     y = (x - d.location) / d.scale
-    return math.exp(-(y**-d.alpha))
+    try:
+        return math.exp(-(y**-d.alpha))
+    except OverflowError:  # y**-alpha overflows where exp(-y**-alpha) underflows
+        return 0.0
 
 
 def quantile(d: FrechetParams, p: float) -> float:

@@ -287,6 +287,15 @@ class TestCheck:
         assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
         assert err == ""
 
+    # middle orders at alpha = 40 cancel in the oracle's integrand, and just
+    # above an integer order its mass sits at the origin
+    @pytest.mark.parametrize("grid", [["40"], ["2.01", "3.05"]])
+    def test_alpha_grid_passes(self, capsys, grid):
+        code, out, err = run(capsys, "check", "--alpha-grid", *grid)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
+        assert err == ""
+
     def test_json_clean_build(self, capsys):
         code, out, _ = run(capsys, "check", "--format", "json")
         assert code == 0
@@ -384,8 +393,8 @@ def test_imports_load_no_dataclass_machinery():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only `check` needs scipy.integrate, which dominates the CLI import time,
-    # and `estimate` (all three solvers) loads no scipy module at all
+    # the package needs no scipy: not at import, not in `estimate` (all three
+    # solvers), and not in `check`, whose quadrature is the standard library's
     env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
     code = "\n".join([
         "import contextlib, io, sys, frechetfit.cli",
@@ -393,9 +402,12 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = frechetfit.cli.main(['estimate', '--variance', '0.02', '--method', 'all'])",
         "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = frechetfit.cli.main(['check'])",
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
     ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["False", "0 []"]
+    assert out.stdout.splitlines() == ["False", "0 []", "0 []"]
 
 
 def test_package_import_leaves_numpy_unloaded():

@@ -54,6 +54,16 @@ class TestPdf:
         assert pdf(FrechetParams(3.0, 2.0, 2.0), 2.9) == 0.0
         assert pdf(FrechetParams(3.0, 2.0, 2.0), 3.0) == 0.0
 
+    # the true values underflow to 0 just above the location, where y**-alpha
+    # or y**(-1 - alpha) overflows (both at the first point: inf * 0 = nan)
+    @pytest.mark.parametrize("alpha,x", [
+        (10.0, 1.1157528789279937e-28), (1e8, 0.99), (2.0, 1e-200), (10.0, 1e-30),
+        (0.5, 1e-300), (0.5, 5e-324), (10.0, 5e-324),
+    ])
+    @pytest.mark.parametrize("f", [pdf, cdf])
+    def test_zero_just_above_location(self, f, alpha, x):
+        assert f(FrechetParams(0.0, 1.0, alpha), x) == 0.0
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("m,s", [(0.0, 1.0), (3.0, 2.0)])
     def test_normalization(self, alpha, m, s):
@@ -73,11 +83,9 @@ class TestCdf:
         assert cdf(FrechetParams(3.0, 2.0, 5.0), 3.0) == 0.0
 
     def test_matches_integrated_pdf(self):
-        from scipy.integrate import quad
-
         for x in (0.5, 1.0, 2.0, 5.0):
-            num, _ = quad(lambda t: pdf(STD, t), 0.0, x, limit=200)
-            assert cdf(STD, x) == pytest.approx(num, abs=1e-10)
+            num = mp.quad(lambda t: pdf(STD, float(t)), [0, x])
+            assert cdf(STD, x) == pytest.approx(float(num), abs=1e-10)
 
     def test_monotone(self):
         xs = [0.1 * k for k in range(1, 80)]
@@ -168,6 +176,20 @@ class TestCenteredMoment:
         for k in range(2, int(alpha)):
             ref = centered_moment_quad(alpha, k)
             assert centered_moment(shape, k) == pytest.approx(ref, rel=1e-7)
+
+    @pytest.mark.parametrize("alpha", [2.01, 2.5, 3.05, 12.0, 25.0, 40.0])
+    def test_quadrature_oracle_against_mpmath(self, alpha):
+        # the oracles themselves, not the library: the integrand (1 - mu1 s)^k
+        # cancels near s = 1/mu1, which cost adaptive quadrature 7e-7 at
+        # alpha = 40, and just above an integer k most of the mass of
+        # s^(alpha-1-k) lies below the smallest float
+        for k in range(2, min(13, math.ceil(alpha))):
+            with mp.workdps(60):
+                a = mp.mpf(alpha)
+                om = [mp.gamma(1 - p / a) for p in range(k + 1)]
+                ref = mp.fsum(mp.binomial(k, p) * (-om[1]) ** (k - p) * om[p] for p in range(k + 1))
+            assert raw_moment_quad(alpha, k) == pytest.approx(float(om[k]), rel=1e-12, abs=0.0)
+            assert centered_moment_quad(alpha, k) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 class TestNormalizedCenteredMoment:
