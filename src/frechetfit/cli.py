@@ -1,9 +1,9 @@
 """Command-line interface: moments, estimate, sample, tables, check.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 domain or estimation
-error, 4 I/O or input-parsing error.  `--format json` output carries a
-schema_version field; non-finite values are encoded as the strings "inf" /
-"-inf" / "nan" and undefined moments as null.
+Exit codes: 0 success, 1 a failed `check` diagnostic, 2 usage error
+(argparse), 3 domain or estimation error, 4 I/O or input-parsing error.
+`--format json` output carries a schema_version field; non-finite values are
+encoded as the strings "inf" / "-inf" / "nan" and undefined moments as null.
 """
 
 import argparse
@@ -247,10 +247,7 @@ def _cmd_check(args) -> int:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status}  {r.name}: measured {r.measured:.3e} (bound {r.bound:.3e})")
-    for i, r in enumerate(results):
-        if not r.passed:
-            return i + 1
-    return 0
+    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,8 @@ about 11 and 13 respectively they give u to float64 precision, and the solve
 stops at its first evaluation.  Below that each starts from closed-form bounds
 that include the pole of the highest Gamma factor.  Public functions check
 their arguments once; the solves and the fit then call frechet's unchecked
-kernels, not its public functions.
+kernels, not its public functions, and take the rounding bound of a moment
+from frechet._scaled, which alone knows how the moment was computed.
 
 EstimateResult, CubicCoefficients and SampleStats are typing.NamedTuples.
 """
@@ -32,11 +33,10 @@ from typing import NamedTuple, Sequence
 from .errors import DegenerateFitError, DomainError, InsufficientDataError, NoConvergenceError
 from .frechet import (
     FrechetParams,
-    _binomial,
     _centered,
     _normalized,
     _omega,
-    _on_series,
+    _scaled,
     _skewness_reversion,
     _sum_reversion,
     _variance_reversion,
@@ -317,21 +317,6 @@ def sample_stats(data: Sequence[float]) -> SampleStats:
     return SampleStats(count=n, mean=mean, variance=var, skewness=skew, excess_kurtosis=kurt)
 
 
-def _skewness_rounding(alpha: float) -> float:
-    """Relative rounding bound of skewness(alpha) where it comes from binomial Gamma sums.
-
-    Below alpha = 6 the third centered moment is a binomial sum, and below 4
-    the variance too, which enters as its 1.5th power.  Zero above alpha = 6,
-    where the series kernel is good to a few ulps.
-    """
-    bound = 0.0
-    for k, weight in ((3, 1.0), (2, 1.5)):
-        if not _on_series(alpha, k):
-            total, rounding = _binomial(alpha, k)
-            bound += weight * rounding / abs(total)
-    return bound
-
-
 def fit_location_scale(stats: SampleStats) -> FrechetParams:
     """Moment-matching fit: alpha from skewness, then scale and location.
 
@@ -341,8 +326,9 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     solves 1/skewness(1/u) = 1/s in u = 1/alpha for alpha in [3 + 1e-9, 1e9],
     where both sides are bounded, to within 8 ulps of 1/s (the rounding of
     the skewness near the root reaches 7 on the test grid) or, if larger, the
-    rounding bound of its binomial Gamma sums at the seed (below alpha = 6,
-    up to about 1100 ulps), so the solve does not chase rounding noise.
+    rounding bound of S_3 / S_2^1.5 at the seed (nonzero below alpha = 6,
+    where the binomial Gamma sums serve, up to about 1100 ulps), so the solve
+    does not chase rounding noise.
     Above alpha of about 13 the seed is the reverted skewness series summed
     at s - s_inf, and the solve stops at its first evaluation.  Below that it
     is the pole term u0 = (1 - 1/(s V(1/3)^1.5))/3 of Gamma(1 - 3u), an upper
@@ -368,8 +354,10 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     u0 = _sum_reversion(table, s - s_inf)
     if u0 is None:  # the pole term, an upper bound on the root below alpha ~ 14.7
         u0 = (1.0 - 1.0 / (s * _POLE_SKEWNESS_SCALE)) / 3.0
-        # the reverted series seeds only alpha above about 12, where this bound is 0
-        ftol = max(ftol, target * _skewness_rounding(1.0 / min(max(u0, lo), hi)))
+        # the rounding bound of skewness = S_3 / S_2^1.5 at the seed, 0 above
+        # alpha = 6; the reverted series seeds only alpha above about 12
+        alpha0 = 1.0 / min(max(u0, lo), hi)
+        ftol = max(ftol, target * (_scaled(alpha0, 3)[1] + 1.5 * _scaled(alpha0, 2)[1]))
     chord = lambda u, fu: u * (s - s_inf) / (1.0 / (fu + target) - s_inf)
     root = _root(f, u0, chord, lo, hi, ftol, 200)
     if root is None:

@@ -1,15 +1,16 @@
 """Frechet distribution: pdf/cdf/quantile and raw/centered/normalized moments.
 
 Raw moments of the one-parameter form are Omega_k = Gamma(1 - k/alpha),
-defined only for k < alpha.  A centered moment of order k (k = 2: the
-variance) is one power series in u = 1/alpha for alpha >= 2k and the binomial
-expansion in the Omega_p below; normalized ones need alpha > 2 as well.  Where
-the binomial sum cancels too many digits to leave an answer (high orders at
-large alpha) it raises PrecisionLossError.  The variance and skewness series,
-reverted to u as power series in sqrt(V) and in skewness - s_inf, seed the
-inverse solves in estimation.  Public functions check their arguments once,
-then call the unchecked kernels (_omega, _centered, _normalized, _kernel,
-_binomial), not one another.
+defined only for k < alpha.  Every centered moment of order k (k = 2: the
+variance) is (Omega_1 u)^k S_k with u = 1/alpha, and every normalized one
+(alpha > 2 as well) S_k / S_2^(k/2).  One kernel, _scaled, gives S_k and its
+rounding bound: a power series in u for alpha >= 2k, the binomial expansion in
+the Omega_p below.  Where the binomial sum cancels too many digits to leave an
+answer (high orders at large alpha) it raises PrecisionLossError.  The
+variance and skewness series, reverted to u as power series in sqrt(V) and in
+skewness - s_inf, seed the inverse solves in estimation.  Public functions
+check their arguments once, then call the unchecked kernels (_omega, _scaled,
+_centered, _normalized), not one another.
 
 The records are typing.NamedTuples, which need neither dataclasses nor
 inspect at import; FrechetShape and FrechetParams check their fields in
@@ -121,9 +122,16 @@ def pdf(d: FrechetParams, x: float) -> float:
         z = y**-d.alpha
     except OverflowError:  # the density underflows long before z overflows
         return 0.0
-    if z > 746.0:  # exp(-z) underflows to 0, and y**(-1 - alpha) may overflow
-        return 0.0
-    return (d.alpha / d.scale) * y ** (-1.0 - d.alpha) * math.exp(-z)
+    if z <= 708.0:  # exp(-z) is a normal float
+        try:
+            return (d.alpha / d.scale) * y ** (-1.0 - d.alpha) * math.exp(-z)
+        except OverflowError:  # y**(-1 - alpha), for a small alpha
+            pass
+    # exp(-z) is subnormal or 0, or y**(-1 - alpha) overflows: from logarithms
+    try:
+        return math.exp(math.log(d.alpha) - math.log(d.scale) - (1.0 + d.alpha) * math.log(y) - z)
+    except OverflowError:  # the density exceeds the largest float
+        return math.inf
 
 
 def cdf(d: FrechetParams, x: float) -> float:
@@ -184,29 +192,29 @@ def _series(k: int) -> tuple:
     return tuple(reversed(total[k:]))
 
 
-def _kernel(k: int, u: float) -> float:
-    """S_k(u) for k u <= 1/2 (so at most 56 terms), summed over only the terms u needs."""
-    s = 0.0
-    for c in _series(k)[_TERMS - 2 - int(37.5 / -math.log(k * u)):]:
-        s = s * u + c
-    return s
-
-
-def _on_series(alpha: float, k: int) -> bool:
-    # below alpha = 2k the series converges slowly or not at all
-    return alpha >= 2 * k and k <= _MAX_SERIES_ORDER
-
-
 def _omega(alpha: float, p: int) -> float:
     """Omega_p = Gamma(1 - p/alpha) for p < alpha, unchecked; (alpha - p) / alpha is exact next to the pole."""
     return gamma((alpha - p) / alpha)
 
 
-def _binomial(alpha: float, k: int) -> tuple:
-    """(sum_p C(k,p) (-Omega_1)^(k-p) Omega_p, its rounding bound) for k < alpha.
+def _scaled(alpha: float, k: int) -> tuple:
+    """(S_k, its relative rounding bound) for 2 <= k < alpha, unchecked.
 
-    The rounding error of k + 1 alternating terms is about eps (k + 1) sum|term|.
+    S_k = mu_k / (Omega_1 / alpha)^k, the centered moment of order k over
+    (Omega_1 u)^k with u = 1/alpha.  For alpha >= 2k it is the series _series(k)
+    in u, summed over only the terms u needs (k u <= 1/2, so at most 56), with
+    bound 0.  Below that, where the series converges slowly or not at all, and
+    above order _MAX_SERIES_ORDER, it is the binomial sum
+    mu_k = sum_p C(k,p) (-Omega_1)^(k-p) Omega_p, whose k + 1 alternating terms
+    round to about eps (k + 1) sum|term|; where that bound exceeds _MAX_ROUNDING
+    of |mu_k| it raises PrecisionLossError.
     """
+    if alpha >= 2 * k and k <= _MAX_SERIES_ORDER:
+        u = 1.0 / alpha
+        s = 0.0
+        for c in _series(k)[_TERMS - 2 - int(37.5 / -math.log(k * u)):]:
+            s = s * u + c
+        return s, 0.0
     omega1 = _omega(alpha, 1)
     total = magnitude = 0.0
     for p in range(k + 1):
@@ -214,29 +222,25 @@ def _binomial(alpha: float, k: int) -> tuple:
         term = math.comb(k, p) * omega1 ** (k - p) * omega_p
         total += term if (k - p) % 2 == 0 else -term
         magnitude += term  # every term is positive
-    return total, math.ulp(1.0) * (k + 1) * magnitude
-
-
-def _centered(alpha: float, k: int) -> float:
-    """Centered moment of order k for k < alpha, without argument checks."""
-    if _on_series(alpha, k):
-        u = 1.0 / alpha
-        return math.exp(k * log_gamma(1.0 - u)) * u**k * _kernel(k, u)
-    total, rounding = _binomial(alpha, k)
+    rounding = math.ulp(1.0) * (k + 1) * magnitude
     if rounding > _MAX_ROUNDING * abs(total):
         raise PrecisionLossError(
             f"centered moment of order {k} at alpha = {alpha} is lost to cancellation: "
             f"the binomial sum of Gamma values keeps fewer than 6 reliable digits"
         )
-    return total
+    return total / (omega1 / alpha) ** k, rounding / abs(total)
+
+
+def _centered(alpha: float, k: int) -> float:
+    """Centered moment of order k for 2 <= k < alpha, unchecked: (Omega_1 u)^k S_k."""
+    s_k = _scaled(alpha, k)[0]
+    u = 1.0 / alpha
+    return math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
 
 
 def _normalized(alpha: float, k: int) -> float:
-    """Normalized centered moment of order k for alpha > 2 and k < alpha, unchecked."""
-    if _on_series(alpha, k):
-        u = 1.0 / alpha
-        return _kernel(k, u) / _kernel(2, u) ** (k / 2.0)
-    return _centered(alpha, k) / _centered(alpha, 2) ** (k / 2.0)
+    """Normalized centered moment of order k for alpha > 2 and 2 <= k < alpha, unchecked."""
+    return _scaled(alpha, k)[0] / _scaled(alpha, 2)[0] ** (k / 2.0)
 
 
 # Terms of the reverted series below: enough for float64 precision above alpha
@@ -357,7 +361,7 @@ def variance(d: FrechetParams) -> float:
 
 
 def normalized_centered_moment(d: FrechetShape, k: int) -> float:
-    """Centered moment of order k divided by variance^(k/2); S_k / S_2^(k/2) for alpha >= 2k."""
+    """Centered moment of order k divided by variance^(k/2), S_k / S_2^(k/2)."""
     if k < 2:
         raise DomainError(f"normalized moment order must be >= 2, got {k!r}")
     if d.alpha <= 2.0 or k >= d.alpha:
@@ -385,25 +389,20 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
     """Build the raw/centered/normalized report for one order, never raising.
 
     `centered` and `normalized` are None as well where the binomial sum loses
-    every digit (PrecisionLossError).  On the series side both come from one
-    S_k(u) evaluation, with the same values as centered_moment and
-    normalized_centered_moment.
+    every digit (PrecisionLossError).  Both come from one S_k evaluation, with
+    the same values as centered_moment and normalized_centered_moment.
     """
     defined = k < d.alpha
     raw = _omega(d.alpha, k) if defined else None
     centered = normalized = None
     if defined and k >= 2:
-        if _on_series(d.alpha, k):
+        try:
+            s_k = _scaled(d.alpha, k)[0]
+        except PrecisionLossError:
+            pass
+        else:
             u = 1.0 / d.alpha
-            s_k = _kernel(k, u)
             centered = math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
             # s_k / s_k ** 1.0 is exactly 1.0 at k = 2
-            normalized = s_k / (s_k if k == 2 else _kernel(2, u)) ** (k / 2.0)
-        else:
-            try:
-                centered = _centered(d.alpha, k)
-            except PrecisionLossError:
-                pass
-            else:
-                normalized = centered / _centered(d.alpha, 2) ** (k / 2.0)
+            normalized = s_k / (s_k if k == 2 else _scaled(d.alpha, 2)[0]) ** (k / 2.0)
     return MomentReport(k, raw, centered, normalized, defined)

@@ -540,20 +540,20 @@ def _exponent_guess(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.clip(out, -4, 15, out=out)
 
 
-def _format_fixed(
-    x: np.ndarray, a: np.ndarray, ws: _Workspace, rest: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _format_fixed(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     """format(v, ".17g") + "\n" for each v, as bytes in ws.out.
 
     For 1e-4 <= |v| < 1e16, ".17g" is positional notation of the 17-digit
     significand N of v, 10^16 <= N < 10^17, with trailing zeros (and a bare
     point) stripped. N is computed exactly in float64 arithmetic (see
-    _round_scaled). The rows `rest`, if given, hold every other value: zero,
+    _round_scaled). The rows `rest` hold every other value, often none: zero,
     subnormals and exponent notation. Those go through "%.17g", the routine
-    format() uses, and are laid out with the others. a = |x|, overwritten in
-    those rows; every other intermediate is a view of ws.
+    format() uses, and are laid out with the others. a = |x|, in ws, is
+    overwritten in those rows; every other intermediate but rest is a view of ws.
     """
     n = x.size
+    a = np.abs(x, out=ws.a[:n])
+    rest = np.flatnonzero((a < 1e-4) | (a >= 1e16))
     f = ws.f[:, :n]
     i0, i1, order, width = ws.i[:, :n]
     low, high = ws.masks[:, :n]
@@ -562,8 +562,7 @@ def _format_fixed(
     # also where v rounds up to 10^(E+1)); such rows, few in any sample,
     # are computed again with E moved by one
     E = i0
-    if rest is not None:
-        a[rest] = 1.0  # a stand-in, whose digits the text below replaces
+    a[rest] = 1.0  # a stand-in, whose digits the text below replaces
     E[...] = _exponent_guess(a, f[0])
     N = _round_scaled(a, E, i1, f)
     np.less(N, 10**16, out=low)
@@ -576,8 +575,7 @@ def _format_fixed(
     # rows sorted by E, so that every layout below is one slice; the key
     # E << _ROW_BITS plus the row's index sorts stably in place. The rows of
     # rest take E = 16, after every other row and in file order
-    if rest is not None:
-        E[rest] = 16
+    E[rest] = 16
     np.left_shift(E, _ROW_BITS, out=order)
     order += ws.rows[:n]
     order.sort()
@@ -627,14 +625,13 @@ def _format_fixed(
             T[2:1 - e, s] = ord("0")
             T[1 - e:18 - e, s] = D[:, s]
             np.add(kept[s], 1 - e, out=width[s])
-    if rest is not None:
-        # "%.17g" of each row of rest, sign included, left-aligned in 24
-        # bytes: the padding lies past the width, where stale bytes lie
-        s = slice(bounds[-1], n)
-        text = ("%-24.17g" * rest.size) % tuple(x[rest].tolist())
-        lines = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
-        T[:, s] = lines.T
-        width[s] = np.count_nonzero(lines != ord(" "), axis=1)
+    # "%.17g" of each row of rest, sign included, left-aligned in 24
+    # bytes: the padding lies past the width, where stale bytes lie
+    s = slice(bounds[-1], n)
+    text = ("%-24.17g" * rest.size) % tuple(x[rest].tolist())
+    lines = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
+    T[:, s] = lines.T
+    width[s] = np.count_nonzero(lines != ord(" "), axis=1)
 
     # every line goes to its place in file order by scatters into ws.out,
     # whose byte 0 only precedes the first line: the columns of T from the
@@ -644,8 +641,7 @@ def _format_fixed(
     # line. A positive line's sign lands on the newline before it, or byte 0
     neg = zeros
     np.less(np.take(x, order, out=f[0], mode="clip"), 0, out=neg)
-    if rest is not None:
-        neg[bounds[-1]:] = False  # in the text already
+    neg[bounds[-1]:] = False  # the rows of rest: in the text already
     lengths = np.add(width, neg, out=i1)
     lengths += 1
     i0[order] = lengths  # in file order
@@ -663,13 +659,6 @@ def _format_fixed(
     return out[1:total + 1]
 
 
-def _format_chunk(x: np.ndarray, ws: _Workspace) -> np.ndarray:
-    a = np.abs(x, out=ws.a[:x.size])
-    if a.min() >= 1e-4 and a.max() < 1e16:
-        return _format_fixed(x, a, ws)
-    return _format_fixed(x, a, ws, np.flatnonzero((a < 1e-4) | (a >= 1e16)))
-
-
 def write_samples(path: Union[str, Path], values: Sequence[float]) -> None:
     """Write one value per line with 17 significant digits (round-trip exact).
 
@@ -685,4 +674,4 @@ def write_samples(path: Union[str, Path], values: Sequence[float]) -> None:
     ws = _Workspace(min(x.size, _CHUNK))
     with open(path, "wb") as fh:
         for start in range(0, x.size, _CHUNK):
-            fh.write(_format_chunk(x[start:start + _CHUNK], ws))
+            fh.write(_format_fixed(x[start:start + _CHUNK], ws))

@@ -296,6 +296,13 @@ class TestCheck:
         assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
         assert err == ""
 
+    def test_bad_alpha_grid_is_a_domain_error(self, capsys):
+        # exit 3 as for any DomainError, distinct from the 1 of a failed check
+        code, out, err = run(capsys, "check", "--alpha-grid", "0")
+        assert code == 3
+        assert out == ""
+        assert [line.split()[0] for line in err.splitlines()] == ["error:"]
+
     def test_json_clean_build(self, capsys):
         code, out, _ = run(capsys, "check", "--format", "json")
         assert code == 0
@@ -317,7 +324,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--format", "json")
         checks = json.loads(out)["checks"]
         assert [c["passed"] for c in checks] == [True, True, False, True]
-        assert code == 3  # 1-based index of the first failed check
+        assert code == 1  # any failed diagnostic; the JSON names which
 
     def test_mutation_sanity_flipped_c2(self, capsys, monkeypatch):
         # flipping the sign of the z^2 coefficient must trip the

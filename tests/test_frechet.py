@@ -64,6 +64,19 @@ class TestPdf:
     def test_zero_just_above_location(self, f, alpha, x):
         assert f(FrechetParams(0.0, 1.0, alpha), x) == 0.0
 
+    # a small alpha keeps the density finite and nonzero where y**(-1 - alpha)
+    # overflows (the first two points) or exp(-z) is subnormal (the next two);
+    # the last is past the largest float
+    @pytest.mark.parametrize("alpha,x", [
+        (0.001, 1e-310), (0.005, 1e-309), (0.0089, 1e-323), (0.0095, 1e-302), (0.001, 5e-324),
+    ])
+    def test_small_alpha_just_above_location(self, alpha, x):
+        with mp.workdps(50):
+            a, y = mp.mpf(alpha), mp.mpf(x)
+            ref = a * y ** (-1 - a) * mp.exp(-(y**-a))
+        # float(ref) is inf at the last point
+        assert pdf(FrechetParams(0.0, 1.0, alpha), x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("m,s", [(0.0, 1.0), (3.0, 2.0)])
     def test_normalization(self, alpha, m, s):
@@ -333,11 +346,25 @@ class TestSeriesKernel:
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_higher_orders_on_the_series_side(self, k):
         # measured worst 1.1e-13 (k = 7); below alpha = 2k the binomial sum
-        # loses more (up to 3.7e-10 for k = 8) and is not gated here
+        # loses more, see the next test
         for alpha in (2.0 * k * (1e8 / (2.0 * k)) ** (i / 20) for i in range(21)):
             _, normalized = self.reference(alpha, k)
             got = normalized_centered_moment(FrechetShape(alpha), k)
             assert abs(got - normalized) <= 1e-11 * abs(normalized), alpha
+
+    # measured worst 2.3e-14, 2.2e-13, 3.7e-13, 4.2e-12, 5.8e-11, 4.0e-10
+    @pytest.mark.parametrize("k, bound", [(3, 3e-14), (4, 3e-13), (5, 5e-13), (6, 6e-12),
+                                          (7, 8e-11), (8, 5e-10)])
+    def test_higher_orders_on_the_binomial_side(self, k, bound):
+        lo = k + 0.01
+        for alpha in (lo * (2.0 * k / lo) ** (i / 40) for i in range(40)):
+            with mp.workdps(int(k * math.log10(alpha)) + 50):
+                a = mp.mpf(alpha)
+                om = [mp.gamma(1 - p / a) for p in range(k + 1)]
+                mu = lambda q: mp.fsum(mp.binomial(q, p) * (-om[1]) ** (q - p) * om[p] for p in range(q + 1))
+                normalized = mu(k) / mu(2) ** (mp.mpf(k) / 2)
+                got = normalized_centered_moment(FrechetShape(alpha), k)
+                assert abs(got - normalized) <= bound * abs(normalized), alpha
 
     def test_skewness_and_kurtosis_are_the_normalized_moments(self):
         # bit for bit, on the 400-point grid of the benchmark and a few more
@@ -388,6 +415,7 @@ class TestPrecisionLoss:
     # to alpha = 20), 5.8e-8 and 7.2e-7 (the series at alpha = 1e8), and
     # 1.6e-8 (only next to alpha = k); the binomial side is rounding noise
     # under its 1e-6 bound, so a denser grid can find a little more there
+    # (4.3e-13 for orders 2 to 4, at k = 4 and alpha = 7.93)
     @pytest.mark.parametrize("orders, bound", [
         (range(2, 5), 1e-12),
         (range(5, 8), 2e-10),
