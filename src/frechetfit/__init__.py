@@ -2,7 +2,8 @@
 
 The moments, estimators and fit are plain float arithmetic and import only
 the standard library.  The sample layer (SamplerConfig, sample, read_samples,
-write_samples) needs numpy, so it is imported on first use of one of its names.
+file_stats, write_samples) needs numpy, so it is imported on first use of one
+of its names.
 """
 
 import importlib
@@ -74,10 +75,10 @@ __all__ = [
     "Method", "EstimateResult", "CubicCoefficients", "SampleStats",
     "alpha_order1", "alpha_order2", "alpha_exact",
     "fit_location_scale", "sample_stats",
-    "SamplerConfig", "sample", "read_samples", "write_samples",
+    "SamplerConfig", "sample", "read_samples", "file_stats", "write_samples",
 ]
 
-_SAMPLING_IO_NAMES = {"SamplerConfig", "sample", "read_samples", "write_samples"}
+_SAMPLING_IO_NAMES = {"SamplerConfig", "sample", "read_samples", "file_stats", "write_samples"}
 
 
 def __getattr__(name):

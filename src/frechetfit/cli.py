@@ -23,7 +23,9 @@ from .frechet import (
     shape_variance,
     skewness,
 )
-from .sampling_io import SamplerConfig, read_samples, sample, write_samples
+# read_samples is not called here since estimate --input streams the file
+# (file_stats); it stays a name of this module for code that patches it
+from .sampling_io import SamplerConfig, file_stats, read_samples, sample, write_samples  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -116,8 +118,7 @@ def _estimate_one(method: str, v: float, tol: float):
 def _cmd_estimate(args) -> int:
     sample_info = None
     if args.input is not None:
-        values = read_samples(args.input, column=args.column)
-        stats = sample_stats(values)
+        stats = file_stats(args.input, column=args.column)
         v = stats.variance
         sample_info = {"count": stats.count, "mean": stats.mean, "variance": stats.variance}
     else:

@@ -248,73 +248,119 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     return EstimateResult(alpha, Method.EXACT_ROOT, v * abs(math.expm1(log_ratio)), evaluations)
 
 
-def _fsum_finite(parts: list[float]) -> float:
-    """math.fsum of finite block sums; inf where a part or the sum is not finite.
+class _Moments:
+    """Count, mean and central sums M2, M3, M4 of blocks of values added in order.
 
-    fsum itself raises ValueError on inf + -inf and OverflowError where a
-    sum of finite parts overflows.
+    add() takes a block's mean and the sums of the second, third and fourth
+    powers of its deviations from it, and merges them into the running ones
+    by the pairwise update of Chan, Golub and LeVeque (1983) and Pebay
+    (SAND2008-6212).  Every block but the last holds sampling_io._CHUNK
+    values, so equal values in equal blocks give equal moments, whether the
+    blocks are slices of one array or read from a file one at a time.
     """
-    if not all(map(math.isfinite, parts)):
-        return math.inf
-    try:
-        return math.fsum(parts)
-    except OverflowError:
-        return math.inf
+
+    def __init__(self):
+        self.count = 0
+        self.mean = self.m2 = self.m3 = self.m4 = 0.0
+        self.finite = True  # no value added is a nan or an infinity
+        self._d2 = None
+
+    def add(self, block, d) -> None:
+        """Merge in the float64 array `block`; `d`, as long, may be block and is overwritten."""
+        import numpy as np
+
+        nb = block.size
+        if self._d2 is None:
+            self._d2 = np.empty(nb)  # the first block is the longest
+        d2 = self._d2[:nb]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mb = float(block.mean())
+            if not math.isfinite(mb) and self.finite:
+                # a nan or an infinity makes the sum one; so does overflow
+                self.finite = bool(np.isfinite(block).all())
+            np.subtract(block, mb, out=d)
+            e = float(d.sum()) / nb
+            np.multiply(d, d, out=d2)
+            s2 = float(d2.sum())
+            s3 = float(np.multiply(d2, d, out=d).sum())
+            d2 *= d2
+            s4 = float(d2.sum())
+        # the sums about the block's mean mb + e, from those about mb
+        mb += e
+        m2b = s2 - nb * e * e
+        m3b = s3 - 3.0 * e * s2 + 2.0 * nb * e * e * e
+        m4b = s4 - 4.0 * e * s3 + 6.0 * e * e * s2 - 3.0 * nb * e * e * e * e
+        na = self.count
+        if na == 0:
+            self.count, self.mean, self.m2, self.m3, self.m4 = nb, mb, m2b, m3b, m4b
+            return
+        n = na + nb
+        m2a, m3a = self.m2, self.m3
+        delta = mb - self.mean
+        dn = delta / n
+        w = na * nb * delta * dn  # na nb delta^2 / n
+        self.m4 += m4b + w * dn * dn * (na * na - na * nb + nb * nb) + 6.0 * dn * dn * (
+            na * na * m2b + nb * nb * m2a) + 4.0 * dn * (na * m3b - nb * m3a)
+        self.m3 += m3b + w * dn * (na - nb) + 3.0 * dn * (na * m2b - nb * m2a)
+        self.m2 += m2b + w
+        self.mean += nb * dn
+        self.count = n
+
+    def stats(self) -> SampleStats:
+        n = self.count
+        if n < 2:
+            raise InsufficientDataError(f"need at least 2 values, got {n}")
+        m2, m3, m4 = self.m2 / n, self.m3 / n, self.m4 / n
+        if not (math.isfinite(m2) and math.isfinite(m3) and math.isfinite(m4)):
+            if not self.finite:
+                raise DomainError("the sample holds a nan or infinite value")
+            raise DomainError(
+                "the sample's spread overflows float64: its central moments up to "
+                "order 4 are not all finite"
+            )
+        var = m2 * n / (n - 1)
+        if m2 > 0.0 and n >= 3:
+            skew = (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)
+        else:
+            skew = math.nan
+        if m2 > 0.0 and n >= 4:
+            kurt = ((n + 1) * (n - 1)) / ((n - 2) * (n - 3)) * (
+                m4 / m2**2 - 3.0 * (n - 1) / (n + 1)
+            )
+        else:
+            kurt = math.nan
+        return SampleStats(count=n, mean=self.mean, variance=var, skewness=skew, excess_kurtosis=kurt)
+
+
+def _moments(x) -> _Moments:
+    """The 1-D float64 array x merged into _Moments one block of sampling_io._CHUNK values at a time."""
+    # numpy takes most of the package's import time; only the sample moments here need it
+    import numpy as np
+
+    from .sampling_io import _CHUNK
+
+    moments = _Moments()
+    d = np.empty(min(x.size, _CHUNK))
+    for start in range(0, x.size, _CHUNK):
+        block = x[start:start + _CHUNK]
+        moments.add(block, d[:block.size])
+    return moments
 
 
 def sample_stats(data: Sequence[float]) -> SampleStats:
     """Empirical moments; see SampleStats for the exact estimators.
 
-    One numpy pass gives the mean.  The deviations from it and their second,
-    third and fourth powers are then formed one block of sampling_io._CHUNK
-    values at a time, in two buffers of a block that every block reuses, and
-    math.fsum adds the blocks' sums.  numpy is imported on the first call, so
-    the estimators and the fit never load it.
+    The values are merged into the moments one block of sampling_io._CHUNK
+    values at a time (see _Moments): each block's mean, then its deviations
+    from that mean and their second, third and fourth powers, formed in two
+    buffers of a block that every block reuses.  sampling_io.file_stats
+    reads a file in the same blocks, so it gives sample_stats(read_samples(f))
+    bit for bit.  numpy is imported on the first call, so the estimators and
+    the fit never load it.
     """
-    # numpy takes most of the package's import time; only this function here needs it
     import numpy as np
 
-    from .sampling_io import _CHUNK
-
-    x = np.asarray(data, dtype=np.float64).reshape(-1)
-    n = int(x.size)
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 values, got {n}")
-    s2: list[float] = []
-    s3: list[float] = []
-    s4: list[float] = []
-    buffers = np.empty((2, min(n, _CHUNK)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(x.mean())
-        for start in range(0, n, _CHUNK):
-            block = x[start:start + _CHUNK]
-            d, d2 = buffers[:, :block.size]
-            np.subtract(block, mean, out=d)
-            np.multiply(d, d, out=d2)
-            s2.append(float(d2.sum()))
-            s3.append(float(np.multiply(d2, d, out=d).sum()))
-            d2 *= d2
-            s4.append(float(d2.sum()))
-    m2, m3, m4 = (_fsum_finite(parts) / n for parts in (s2, s3, s4))
-    if not (math.isfinite(m2) and math.isfinite(m3) and math.isfinite(m4)):
-        if not np.isfinite(x).all():
-            raise DomainError("the sample holds a nan or infinite value")
-        raise DomainError(
-            "the sample's spread overflows float64: its central moments up to "
-            "order 4 are not all finite"
-        )
-    var = m2 * n / (n - 1)
-    if m2 > 0.0 and n >= 3:
-        skew = (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)
-    else:
-        skew = math.nan
-    if m2 > 0.0 and n >= 4:
-        kurt = ((n + 1) * (n - 1)) / ((n - 2) * (n - 3)) * (
-            m4 / m2**2 - 3.0 * (n - 1) / (n + 1)
-        )
-    else:
-        kurt = math.nan
-    return SampleStats(count=n, mean=mean, variance=var, skewness=skew, excess_kurtosis=kurt)
+    return _moments(np.asarray(data, dtype=np.float64).reshape(-1)).stats()
 
 
 def fit_location_scale(stats: SampleStats) -> FrechetParams:

@@ -19,6 +19,7 @@ __new__ and raise DomainError.
 
 import functools
 import math
+import sys
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, PrecisionLossError, UndefinedMomentError
@@ -118,18 +119,28 @@ def pdf(d: FrechetParams, x: float) -> float:
     if x <= d.location:
         return 0.0
     y = (x - d.location) / d.scale
-    try:
-        z = y**-d.alpha
-    except OverflowError:  # the density underflows long before z overflows
-        return 0.0
-    if z <= 708.0:  # exp(-z) is a normal float
+    if y >= sys.float_info.min:
         try:
-            return (d.alpha / d.scale) * y ** (-1.0 - d.alpha) * math.exp(-z)
-        except OverflowError:  # y**(-1 - alpha), for a small alpha
-            pass
-    # exp(-z) is subnormal or 0, or y**(-1 - alpha) overflows: from logarithms
+            z = y**-d.alpha
+        except OverflowError:  # the density underflows long before z overflows
+            return 0.0
+        if z <= 708.0:  # exp(-z) is a normal float
+            try:
+                return (d.alpha / d.scale) * y ** (-1.0 - d.alpha) * math.exp(-z)
+            except OverflowError:  # y**(-1 - alpha), for a small alpha
+                pass
+        log_y = math.log(y)
+    else:
+        # y is subnormal or underflows to 0: ln y from ln(x - location),
+        # which is exact there, and ln(scale), without forming y
+        log_y = math.log(x - d.location) - math.log(d.scale)
+        try:
+            z = math.exp(-d.alpha * log_y)
+        except OverflowError:
+            return 0.0
+    # exp(-z) is subnormal or 0, or y**(-1 - alpha) overflows, or y is tiny: from logarithms
     try:
-        return math.exp(math.log(d.alpha) - math.log(d.scale) - (1.0 + d.alpha) * math.log(y) - z)
+        return math.exp(math.log(d.alpha) - math.log(d.scale) - (1.0 + d.alpha) * log_y - z)
     except OverflowError:  # the density exceeds the largest float
         return math.inf
 
@@ -140,7 +151,10 @@ def cdf(d: FrechetParams, x: float) -> float:
         return 0.0
     y = (x - d.location) / d.scale
     try:
-        return math.exp(-(y**-d.alpha))
+        if y >= sys.float_info.min:
+            return math.exp(-(y**-d.alpha))
+        # y is subnormal or 0: ln y as in pdf
+        return math.exp(-math.exp(-d.alpha * (math.log(x - d.location) - math.log(d.scale))))
     except OverflowError:  # y**-alpha overflows where exp(-y**-alpha) underflows
         return 0.0
 

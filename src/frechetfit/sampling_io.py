@@ -19,17 +19,18 @@ import math
 import sys
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, EmptyInputError, ParseError
+from .estimation import SampleStats, _Moments, _moments
 from .frechet import FrechetParams, _Validated
 
-__all__ = ["SamplerConfig", "sample", "read_samples", "write_samples"]
+__all__ = ["SamplerConfig", "sample", "read_samples", "file_stats", "write_samples"]
 
-# Values per block of the sampler, of sample_stats and of each fh.write; a
-# block's buffers stay under a megabyte.
+# Values per block of the sampler, of sample_stats and file_stats and of each
+# fh.write; a block's buffers stay under a megabyte.
 _CHUNK = 1 << 15
 
 
@@ -143,36 +144,41 @@ _NOT_PLAIN[list(b", \t\r\x0b\x0c\x1c\x1d\x1e")] = True
 _NOT_PLAIN[0x80:] = True
 
 
-def _plain_plan(open_binary: Callable[[], BinaryIO], column: Optional[str]) -> Optional[tuple[int, int]]:
-    """The (skiprows, count) with which _read_plain reads the stream as _scan does, or None.
+class _NotPlain(Exception):
+    """The plain route gives up on a stream, which the line scanner then reads."""
+
+
+def _plain_header(open_binary: Callable[[], BinaryIO], column: Optional[str]) -> int:
+    """1 if line 1 of the stream is a header and 0 if a value, for the plain route.
 
     `open_binary` opens the bytes afresh on each call.  Line 1 must be one
-    token with no byte of _NOT_PLAIN, or the plan is None; so it is where
-    _layout raises on that token, as _scan then does (or meets an error
-    first).  The stream is then read in blocks of _READ bytes, counting
-    newlines only: _parse_lines checks every line after a header.
-    skiprows is 1 if line 1 is a header, and count the number of lines
-    after it.
+    token with no byte of _NOT_PLAIN, or _NotPlain is raised; so it is
+    where _layout raises on that token, as _scan then does (or meets an
+    error first).  _parse_lines checks every line after a header.
     """
-    lines, last = 0, b"\n"
     with open_binary() as fh:
         first = fh.readline()
-        if _NOT_PLAIN[np.frombuffer(first, dtype=np.uint8)].any():
-            return None
-        tokens = _split(first.decode("ascii"))
-        if len(tokens) != 1:
-            return None
-        try:
-            _, is_header = _layout(tokens, column, 1)
-        except ParseError:
-            return None
-        fh.seek(0)
+    if _NOT_PLAIN[np.frombuffer(first, dtype=np.uint8)].any():
+        raise _NotPlain
+    tokens = _split(first.decode("ascii"))
+    if len(tokens) != 1:
+        raise _NotPlain
+    try:
+        _, is_header = _layout(tokens, column, 1)
+    except ParseError:
+        raise _NotPlain from None
+    return int(is_header)
+
+
+def _count_lines(open_binary: Callable[[], BinaryIO]) -> int:
+    """The lines of the stream, read in blocks of _READ bytes, counting newlines only."""
+    lines, last = 0, b"\n"
+    with open_binary() as fh:
         for block in iter(partial(fh.read, _READ), b""):
             lines += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10))
             last = block[-1:]
     # a last line without a newline counts too
-    lines += last != b"\n"
-    return int(is_header), lines - is_header
+    return lines + (last != b"\n")
 
 
 # The plain-decimal reader reads _READ bytes at a time and parses up to
@@ -186,7 +192,7 @@ _TAIL = np.frombuffer(
 
 
 class _LineWorkspace:
-    """The buffers of one _read_plain call.
+    """The buffers of one _plain_groups call.
 
     raw holds the bytes read after 32 lead bytes, the last a newline, so
     that the 25 bytes before each line's end lie in it; words is raw as
@@ -368,45 +374,114 @@ def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def _read_plain(open_binary: Callable[[], BinaryIO], skiprows: int, count: int) -> Optional[np.ndarray]:
-    """The `count` values after `skiprows` lines, one a line; None if _parse_lines fails on one.
+def _plain_groups(fh: BinaryIO, skiprows: int) -> Iterator[tuple[_LineWorkspace, np.ndarray]]:
+    """The lines of fh after the first `skiprows`, in groups for _parse_lines.
 
-    The stream is read _READ bytes at a time into one _LineWorkspace; the
-    line that a read cuts is moved to the front for the next.
+    Yields (ws, nl) for each group: nl holds the positions in ws.raw of the
+    newlines around its lines, at most _LINES of them, and no group spans a
+    multiple of _CHUNK lines, counted from the first after `skiprows`.  The
+    stream is read _READ bytes at a time into one _LineWorkspace; the line
+    that a read cuts is moved to the front for the next.  A line longer
+    than a read raises _NotPlain.
     """
     ws = _LineWorkspace()
     raw = ws.raw
-    x = np.empty(count)
     done = held = 0
+    while True:
+        got = fh.readinto(raw[32 + held:32 + _READ])
+        end = 32 + held + got
+        if got == 0:
+            if held == 0:
+                return
+            raw[end] = ord("\n")  # the last line has none
+            end += 1
+        # the newlines, from the one at raw[31]
+        nl = np.flatnonzero(np.equal(raw[31:end], ord("\n"), out=ws.flags[:end - 31]))
+        nl += 31
+        skip = min(skiprows, nl.size - 1)
+        skiprows -= skip
+        nl = nl[skip:]
+        start = 0
+        while start < nl.size - 1:
+            stop = min(nl.size - 1, start + _LINES, start + _CHUNK - done % _CHUNK)
+            yield ws, nl[start:stop + 1]
+            done += stop - start
+            start = stop
+        last = int(nl[-1]) + 1
+        held = end - last
+        if held == _READ:
+            raise _NotPlain  # a line longer than a read
+        raw[32:32 + held] = raw[last:end]
+        if got == 0:
+            return
+
+
+def _plain_array(open_binary: Callable[[], BinaryIO], skiprows: int) -> np.ndarray:
+    """The values of the lines after `skiprows`, in an array sized by _count_lines."""
+    count = _count_lines(open_binary) - skiprows
+    x = np.empty(count)
+    done = 0
     with open_binary() as fh:
-        while True:
-            got = fh.readinto(raw[32 + held:32 + _READ])
-            end = 32 + held + got
-            if got == 0:
-                if held == 0:
-                    break
-                raw[end] = ord("\n")  # the last line has none
-                end += 1
-            # the newlines, from the one at raw[31]
-            nl = np.flatnonzero(np.equal(raw[31:end], ord("\n"), out=ws.flags[:end - 31]))
-            nl += 31
-            skip = min(skiprows, nl.size - 1)
-            skiprows -= skip
-            nl = nl[skip:]
-            for start in range(0, nl.size - 1, _LINES):
-                part = nl[start:start + _LINES + 1]
-                upto = done + part.size - 1
-                if upto > count or not _parse_lines(ws, part, x[done:upto]):
-                    return None
-                done = upto
-            last = int(nl[-1]) + 1
-            held = end - last
-            if held == _READ:
-                return None  # a line longer than a read
-            raw[32:32 + held] = raw[last:end]
-            if got == 0:
-                break
-    return x if done == count else None
+        for ws, nl in _plain_groups(fh, skiprows):
+            upto = done + nl.size - 1
+            if upto > count or not _parse_lines(ws, nl, x[done:upto]):
+                raise _NotPlain
+            done = upto
+    if done != count:
+        raise _NotPlain
+    return x
+
+
+def _plain_moments(open_binary: Callable[[], BinaryIO], skiprows: int) -> _Moments:
+    """The moments of the lines after `skiprows`, merged one block of _CHUNK values at a time.
+
+    Each block is parsed into one buffer, which the merge then overwrites.
+    """
+    moments = _Moments()
+    block = np.empty(_CHUNK)
+    filled = 0
+    with open_binary() as fh:
+        for ws, nl in _plain_groups(fh, skiprows):
+            upto = filled + nl.size - 1
+            if not _parse_lines(ws, nl, block[filled:upto]):
+                raise _NotPlain
+            filled = upto
+            if filled == _CHUNK:
+                moments.add(block, block)
+                filled = 0
+    if filled:
+        moments.add(block[:filled], block[:filled])
+    return moments
+
+
+def _read(path: Union[str, Path], column: Optional[str], plain: Callable, scanned: Callable):
+    """plain(open_binary, skiprows) for the file at `path`, or scanned(values).
+
+    open_binary opens the file's bytes afresh on each call.  Where plain
+    raises _NotPlain, at any point, the line scanner reads the file from
+    its start, and scanned gets its values as a float64 array; so it does
+    for every file on a big-endian machine.  A pipe, which can be read only once, is read whole
+    first.
+    """
+    if Path(path).is_file():
+        open_binary = partial(open, path, "rb")
+    else:
+        # a pipe can be read only once
+        open_binary = partial(io.BytesIO, Path(path).read_bytes())
+    # _parse_lines takes the bytes as little-endian words
+    if sys.byteorder == "little":
+        try:
+            return plain(open_binary, _plain_header(open_binary, column))
+        except _NotPlain:
+            pass
+    # decoded as open() does: locale encoding, universal newlines
+    try:
+        with io.TextIOWrapper(open_binary()) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid {exc.encoding} text: {exc.reason}") from None
+    del open_binary  # a pipe's bytes
+    return scanned(np.array(_scan(text, column), dtype=np.float64))
 
 
 def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.ndarray:
@@ -419,35 +494,37 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     encoding raise ParseError too.
 
     A file of one plain decimal a line, after an optional one-token
-    header, is parsed by _read_plain into an array sized by a first pass
-    that counts its lines, bit for bit as float() parses each line.  A
-    file in which _read_plain meets a blank line, a byte of _NOT_PLAIN (a
-    comma, whitespace, a carriage return, a non-ASCII byte), a token
-    float() rejects, a nan or an infinity goes to the line scanner, which
-    also reports the offending line; so does every file on a big-endian
-    machine.  The scanner decodes the file whole and holds the text, not
-    the bytes.  A pipe, which can be read only once, is read whole first.
+    header, is parsed by the plain route (_plain_groups, _parse_lines) into
+    an array sized by a first pass that counts its lines, bit for bit as
+    float() parses each line.  A file in which the plain route meets a
+    blank line, a byte of _NOT_PLAIN (a comma, whitespace, a carriage
+    return, a non-ASCII byte), a token float() rejects, a nan or an
+    infinity goes to the line scanner, which also reports the offending
+    line; so does every file on a big-endian machine.  The scanner decodes
+    the file whole and holds the text, not the bytes.  A pipe, which can be
+    read only once, is read whole first.
     """
-    if Path(path).is_file():
-        open_binary = partial(open, path, "rb")
-    else:
-        # a pipe can be read only once
-        open_binary = partial(io.BytesIO, Path(path).read_bytes())
-    # _parse_lines takes the bytes as little-endian words
-    plan = _plain_plan(open_binary, column) if sys.byteorder == "little" else None
-    values = None if plan is None else _read_plain(open_binary, *plan)
-    if values is None:
-        # decoded as open() does: locale encoding, universal newlines
-        try:
-            with io.TextIOWrapper(open_binary()) as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not valid {exc.encoding} text: {exc.reason}") from None
-        del open_binary  # a pipe's bytes
-        values = np.array(_scan(text, column), dtype=np.float64)
+    values = _read(path, column, _plain_array, np.asarray)
     if values.size == 0:
         raise EmptyInputError(f"no data values found in {path}")
     return values
+
+
+def file_stats(path: Union[str, Path], column: Optional[str] = None) -> SampleStats:
+    """sample_stats(read_samples(path, column)), bit for bit, without holding the sample.
+
+    The file takes read_samples' routes and raises its errors, then
+    sample_stats' errors.  On the plain route no pass counts the lines:
+    each _CHUNK values, counted from the first after a header, are parsed
+    into one buffer and merged into the moments (estimation._Moments), the
+    blocks that sample_stats takes of the array.  A file that the plain
+    route gives up on, after some blocks or none, is read by the line
+    scanner, and its values are merged afresh in the same blocks.
+    """
+    moments = _read(path, column, _plain_moments, _moments)
+    if moments.count == 0:
+        raise EmptyInputError(f"no data values found in {path}")
+    return moments.stats()
 
 
 # 10^s for the scale s = 16 - E, for every E within one of the exponents

@@ -10,8 +10,22 @@ import pytest
 
 import frechetfit
 import frechetfit.special_functions as sf
-from frechetfit import FrechetShape, LaurentCoefficients, normalized_centered_moment
+from frechetfit import (
+    FrechetParams,
+    FrechetShape,
+    LaurentCoefficients,
+    SamplerConfig,
+    alpha_exact,
+    alpha_order1,
+    alpha_order2,
+    normalized_centered_moment,
+    read_samples,
+    sample,
+    sample_stats,
+    write_samples,
+)
 from frechetfit.cli import main
+from frechetfit.sampling_io import _CHUNK, _LINES
 
 
 def run(capsys, *argv):
@@ -159,6 +173,37 @@ class TestEstimate:
         payload = json.loads(out)
         assert payload["sample"]["count"] == 1_000_000
         assert payload["estimates"][0]["alpha"] == pytest.approx(5.0, abs=0.2)
+
+    # counts at and around block edges, where the plain reader's groups of
+    # _LINES lines and the moment blocks of _CHUNK values fall differently;
+    # a blank line at line 50,000 sends a file that the plain reader has
+    # begun to merge to the line scanner
+    @pytest.mark.parametrize("layout, count", [
+        *((layout, count) for layout in ("plain", "header", "crlf")
+          for count in (2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, 5 * _LINES + 3)),
+        ("blank-at-50000", 3 * _CHUNK + 5),
+    ])
+    def test_estimate_from_file_equals_in_process_stats(self, capsys, tmp_path, layout, count):
+        p = tmp_path / "sample.txt"
+        x = sample(SamplerConfig(seed=count, count=count, params=FrechetParams(0.0, 1.0, 5.0)))
+        write_samples(p, x)
+        data = p.read_bytes()
+        if layout == "header":
+            data = b"value\n" + data
+        elif layout == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif layout == "blank-at-50000":
+            cut = data.split(b"\n", 49_999)
+            data = b"\n".join(cut[:-1]) + b"\n\n" + cut[-1]
+            assert data.split(b"\n")[49_999] == b""
+        p.write_bytes(data)
+        code, out, _ = run(capsys, "estimate", "--input", str(p), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        stats = sample_stats(read_samples(p))
+        assert payload["sample"] == {"count": count, "mean": stats.mean, "variance": stats.variance}
+        alphas = [f(stats.variance).alpha for f in (alpha_order1, alpha_order2, alpha_exact)]
+        assert [e["alpha"] for e in payload["estimates"]] == alphas
 
 
 class TestSample:

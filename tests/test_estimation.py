@@ -452,6 +452,20 @@ class TestSampleStats:
             reference = math.fsum(power.tolist()) / n
             assert abs(m - reference) <= 1e-13 * math.fsum(np.abs(power).tolist()) / n
 
+    def test_central_moments_about_the_exact_mean(self):
+        # alpha 1e3: mean about 1, spread about 1.3e-3, so the rounding of
+        # the mean alone moves m3 about it by some 3e-14 of mean |d|^3
+        n = 3 * _CHUNK + 5
+        x = sample(SamplerConfig(seed=8, count=n, params=FrechetParams(0.0, 1.0, 1e3)))
+        s = sample_stats(x)
+        m2 = s.variance * (n - 1) / n
+        m3 = s.skewness * m2**1.5 * (n - 2) / math.sqrt(n * (n - 1))
+        d = x - s.mean  # exact: every x is within a factor 2 of the mean
+        e = math.fsum(d.tolist()) / n  # the exact mean minus s.mean, rounded
+        s2, s3 = math.fsum((d * d).tolist()) / n, math.fsum((d * d * d).tolist()) / n
+        assert abs(m2 - (s2 - e * e)) <= 1e-15 * s2
+        assert abs(m3 - (s3 - 3.0 * e * s2 + 2.0 * e**3)) <= 1e-15 * math.fsum(np.abs(d**3).tolist()) / n
+
     def test_seeded_samples_match_table_variance(self):
         n = 100_000
         x = sample(SamplerConfig(seed=1234, count=n, params=FrechetParams(0.0, 1.0, 10.0)))

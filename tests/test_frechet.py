@@ -77,6 +77,20 @@ class TestPdf:
         # float(ref) is inf at the last point
         assert pdf(FrechetParams(0.0, 1.0, alpha), x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
+    # (x - location) / scale underflows to 0 for an x above the location; the
+    # density is 0, about 7.4e302, and past the largest float (1.27e319)
+    @pytest.mark.parametrize("scale,alpha", [(1e300, 2.0), (1e10, 1e-20), (1e300, 0.001)])
+    @pytest.mark.parametrize("f", [pdf, cdf])
+    def test_ratio_underflowing_to_zero(self, f, scale, alpha):
+        x = 5e-324
+        assert x / scale == 0.0
+        with mp.workdps(50):
+            a, s = mp.mpf(alpha), mp.mpf(scale)
+            y = mp.mpf(x) / s
+            z = y**-a
+            ref = a / s * y ** (-1 - a) * mp.exp(-z) if f is pdf else mp.exp(-z)
+        assert f(FrechetParams(0.0, scale, alpha), x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("m,s", [(0.0, 1.0), (3.0, 2.0)])
     def test_normalization(self, alpha, m, s):

@@ -16,13 +16,16 @@ import frechetfit
 from frechetfit import (
     DomainError,
     EmptyInputError,
+    FrechetFitError,
     FrechetParams,
     ParseError,
     SamplerConfig,
     cdf,
+    file_stats,
     quantile,
     read_samples,
     sample,
+    sample_stats,
     write_samples,
 )
 from frechetfit import sampling_io
@@ -334,7 +337,7 @@ class TestReadSamples:
             x = read_samples(p)
         assert x.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
-    # plain lines past the first block of the plan and of _read_plain, before the line under test
+    # plain lines past the first block of _count_lines and of _plain_groups, before the line under test
     LEAD = "1.0\n" * (max(_CHUNK, sampling_io._READ) // 4 + 10)
 
     @pytest.mark.parametrize(
@@ -345,7 +348,7 @@ class TestReadSamples:
             "2.5\x0b3.5\n",  # a line break only str.splitlines knows
             "2.5\u00e9\n",  # a non-ASCII letter: ParseError
             "a,b\n",  # ParseError
-            "nan\n",  # plain bytes that _read_plain turns back: ParseError
+            "nan\n",  # plain bytes that _parse_lines turns back: ParseError
             "1e400\n",  # the same for an overflow
             "\n",  # a blank line
             "2.5\r\n",  # a carriage return
@@ -439,6 +442,56 @@ class TestReadSamples:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_samples(tmp_path / "nope.txt")
+
+
+class TestFileStats:
+    """file_stats(f) is sample_stats(read_samples(f)), bit for bit, errors included."""
+
+    @staticmethod
+    def assert_same(p, column=None):
+        def outcome(stats):
+            try:
+                return repr(stats())  # repr tells every float bit, nan and -0.0 too
+            except FrechetFitError as exc:
+                return type(exc), str(exc), getattr(exc, "line", None)
+
+        expected = outcome(lambda: sample_stats(read_samples(p, column=column)))
+        assert outcome(lambda: file_stats(p, column=column)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.lists(
+            st.sampled_from(["1", "-2.5e3", "0.1", "x", "nan", "1e200", " ", "\t", ",", "\n", "\r\n", "\x0b"]),
+            max_size=20,
+        ).map("".join),
+        column=st.sampled_from([None, "x"]),
+    )
+    def test_matches_property(self, tmp_path_factory, text, column):
+        p = tmp_path_factory.mktemp("stats") / "case.txt"
+        p.write_bytes(text.encode())
+        self.assert_same(p, column)
+
+    @pytest.mark.parametrize("late", ["\n", "2.5,\n", "2.5\r\n", "nan\n", "a,b\n"],
+                             ids=["blank", "comma", "crlf", "nan", "comma-letters"])
+    def test_plain_route_gives_up_after_merged_blocks(self, tmp_path, monkeypatch, late):
+        x = sample(config(count=2 * _CHUNK + 10))
+        p = tmp_path / "late.txt"
+        write_samples(p, x)
+        p.write_bytes(p.read_bytes() + late.encode() + b"3.0\n")
+        scans = record_scans(monkeypatch)
+        self.assert_same(p)
+        assert len(scans) == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_pipe(self):
+        r, w = os.pipe()
+        try:
+            os.write(w, b"value\n1.0\n2.0\n4.0\n")
+            os.close(w)
+            stats = file_stats(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert repr(stats) == repr(sample_stats([1.0, 2.0, 4.0]))
 
 
 class TestWriteReadRoundTrip:
@@ -668,6 +721,18 @@ class TestPeakMemory:
         x, peak = traced_peak(read_samples, p)
         assert x.size == self.N
         assert peak <= x.nbytes + self.SCRATCH
+
+    def test_estimate_input(self, tmp_path, capsys):
+        # the file's moments are merged block by block: no array of the sample
+        from frechetfit.cli import main
+
+        small, p = tmp_path / "small.txt", tmp_path / "big.txt"
+        write_samples(small, sample(config(count=10)))
+        main(["estimate", "--input", str(small)])
+        write_samples(p, sample(config(count=self.N)))
+        code, peak = traced_peak(main, ["estimate", "--input", str(p)])
+        assert code == 0 and f"count {self.N}," in capsys.readouterr().out
+        assert peak <= self.SCRATCH
 
     def test_read_samples_scanner(self, tmp_path):
         # a CRLF file goes to _scan, which holds the text, its lines and a
