@@ -263,16 +263,12 @@ class _Moments:
         self.count = 0
         self.mean = self.m2 = self.m3 = self.m4 = 0.0
         self.finite = True  # no value added is a nan or an infinity
-        self._d2 = None
 
-    def add(self, block, d) -> None:
-        """Merge in the float64 array `block`; `d`, as long, may be block and is overwritten."""
+    def add(self, block, d, d2) -> None:
+        """Merge in the float64 array `block`; d and d2, as long, are overwritten (d may be block)."""
         import numpy as np
 
         nb = block.size
-        if self._d2 is None:
-            self._d2 = np.empty(nb)  # the first block is the longest
-        d2 = self._d2[:nb]
         with np.errstate(over="ignore", invalid="ignore"):
             mb = float(block.mean())
             if not math.isfinite(mb) and self.finite:
@@ -340,10 +336,10 @@ def _moments(x) -> _Moments:
     from .sampling_io import _CHUNK
 
     moments = _Moments()
-    d = np.empty(min(x.size, _CHUNK))
+    buffers = np.empty((2, min(x.size, _CHUNK)))
     for start in range(0, x.size, _CHUNK):
         block = x[start:start + _CHUNK]
-        moments.add(block, d[:block.size])
+        moments.add(block, *buffers[:, :block.size])
     return moments
 
 

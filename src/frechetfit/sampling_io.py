@@ -198,7 +198,8 @@ class _LineWorkspace:
     that the 25 bytes before each line's end lie in it; words is raw as
     aligned 64-bit words, which the parser takes as little-endian.  w, i
     and b are scratch rows for _LINES lines, and t and flags scratch as
-    long as raw.  About 1.1 MB in all.
+    long as raw.  spare is w as float64, at least _CHUNK values, free to
+    use between calls of _parse_lines.  About 1.1 MB in all.
     """
 
     def __init__(self):
@@ -209,6 +210,7 @@ class _LineWorkspace:
         # t and flags lie in w, which a group of lines uses only after them
         self.t, self.flags = self.w.view(np.uint8)[:2 * self.raw.size].reshape(2, -1)
         self.flags = self.flags.view(bool)
+        self.spare = self.w.view(np.float64)
         self.i = np.empty(6 * _LINES, dtype=np.int64)
         self.b = np.empty(4 * _LINES, dtype=bool)
 
@@ -378,15 +380,14 @@ def _plain_groups(fh: BinaryIO, skiprows: int) -> Iterator[tuple[_LineWorkspace,
     """The lines of fh after the first `skiprows`, in groups for _parse_lines.
 
     Yields (ws, nl) for each group: nl holds the positions in ws.raw of the
-    newlines around its lines, at most _LINES of them, and no group spans a
-    multiple of _CHUNK lines, counted from the first after `skiprows`.  The
-    stream is read _READ bytes at a time into one _LineWorkspace; the line
-    that a read cuts is moved to the front for the next.  A line longer
-    than a read raises _NotPlain.
+    newlines around its lines, at most _LINES of them.  The stream is read
+    _READ bytes at a time into one _LineWorkspace; the line that a read
+    cuts is moved to the front for the next.  A line longer than a read
+    raises _NotPlain.
     """
     ws = _LineWorkspace()
     raw = ws.raw
-    done = held = 0
+    held = 0
     while True:
         got = fh.readinto(raw[32 + held:32 + _READ])
         end = 32 + held + got
@@ -401,12 +402,8 @@ def _plain_groups(fh: BinaryIO, skiprows: int) -> Iterator[tuple[_LineWorkspace,
         skip = min(skiprows, nl.size - 1)
         skiprows -= skip
         nl = nl[skip:]
-        start = 0
-        while start < nl.size - 1:
-            stop = min(nl.size - 1, start + _LINES, start + _CHUNK - done % _CHUNK)
-            yield ws, nl[start:stop + 1]
-            done += stop - start
-            start = stop
+        for start in range(0, nl.size - 1, _LINES):
+            yield ws, nl[start:start + _LINES + 1]
         last = int(nl[-1]) + 1
         held = end - last
         if held == _READ:
@@ -435,10 +432,11 @@ def _plain_array(open_binary: Callable[[], BinaryIO], skiprows: int) -> np.ndarr
 def _plain_moments(open_binary: Callable[[], BinaryIO], skiprows: int) -> _Moments:
     """The moments of the lines after `skiprows`, merged one block of _CHUNK values at a time.
 
-    Each block is parsed into one buffer, which the merge then overwrites.
+    The groups of lines are parsed into one buffer, which holds a block and
+    the start of the next; the merge overwrites the block, and ws.spare.
     """
     moments = _Moments()
-    block = np.empty(_CHUNK)
+    block = np.empty(_CHUNK + _LINES)
     filled = 0
     with open_binary() as fh:
         for ws, nl in _plain_groups(fh, skiprows):
@@ -446,11 +444,12 @@ def _plain_moments(open_binary: Callable[[], BinaryIO], skiprows: int) -> _Momen
             if not _parse_lines(ws, nl, block[filled:upto]):
                 raise _NotPlain
             filled = upto
-            if filled == _CHUNK:
-                moments.add(block, block)
-                filled = 0
+            if filled >= _CHUNK:
+                moments.add(block[:_CHUNK], block[:_CHUNK], ws.spare[:_CHUNK])
+                filled -= _CHUNK
+                block[:filled] = block[_CHUNK:_CHUNK + filled]
     if filled:
-        moments.add(block[:filled], block[:filled])
+        moments.add(block[:filled], block[:filled], ws.spare[:filled])
     return moments
 
 
