@@ -459,8 +459,8 @@ def _read(path: Union[str, Path], column: Optional[str], plain: Callable, scanne
     open_binary opens the file's bytes afresh on each call.  Where plain
     raises _NotPlain, at any point, the line scanner reads the file from
     its start, and scanned gets its values as a float64 array; so it does
-    for every file on a big-endian machine.  A pipe, which can be read only once, is read whole
-    first.
+    for every file on a big-endian machine.  A pipe, which can be read only
+    once, is read whole first.
     """
     if Path(path).is_file():
         open_binary = partial(open, path, "rb")
