@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import DomainError, FrechetFitError, ParseError
-from .estimation import alpha_exact, alpha_order1, alpha_order2, sample_stats
+from .estimation import alpha_exact, alpha_order1, alpha_order2
 from .frechet import (
     FrechetParams,
     FrechetShape,
@@ -23,9 +23,13 @@ from .frechet import (
     shape_variance,
     skewness,
 )
-# read_samples is not called here since estimate --input streams the file
-# (file_stats); it stays a name of this module for code that patches it
-from .sampling_io import SamplerConfig, file_stats, read_samples, sample, write_samples  # noqa: F401
+from .sampling_io import SamplerConfig, file_stats, sample_to_file
+
+# read_samples, sample, sample_stats and write_samples are not called here:
+# estimate --input streams its file (file_stats) and sample -o its draws
+# (sample_to_file); they stay names of this module for code that patches them
+from .estimation import sample_stats  # noqa: F401
+from .sampling_io import read_samples, sample, write_samples  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -153,9 +157,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_sample(args) -> int:
     params = FrechetParams(args.location, args.scale, args.alpha)
     config = SamplerConfig(seed=args.seed, count=args.count, params=params)
-    values = sample(config)
-    stats = sample_stats(values) if args.count >= 2 else None
-    write_samples(args.output, values)
+    moments = sample_to_file(args.output, config)
+    stats = moments.stats() if args.count >= 2 else None
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,

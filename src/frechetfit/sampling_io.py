@@ -4,11 +4,12 @@ The uniform source is numpy's PCG64 pinned by seed.  Each raw 64-bit output
 becomes u = (top53bits + 0.5) / 2^53 in the open interval (0, 1), so the log
 in the inverse transform never sees 0 or 1: that is Generator.random(), which
 is top53bits / 2^53, plus 2^-54, a sum that is exact or rounds half to even
-as top53bits + 0.5 does.  The text format is one value per line (optional
-single header line; comma or whitespace delimited columns), written with 17
-significant digits for lossless round trips.  Both ways, plain decimal
-lines go through numpy array operations that round exactly as format() and
-float() do.
+as top53bits + 0.5 does.  For the top word, 2^53 - 1, it rounds to 1.0,
+which is clamped to 1 - 2^-53, the largest u.  The text format is one
+value per line (optional single header line; comma or whitespace delimited
+columns), written with 17 significant digits for lossless round trips.
+Both ways, plain decimal lines go through numpy array operations that
+round exactly as format() and float() do.
 
 SamplerConfig is a typing.NamedTuple that checks its count and seed in
 __new__, as frechet.FrechetParams checks its fields.
@@ -53,32 +54,59 @@ class SamplerConfig(_Validated, _SamplerConfigFields):
         return tuple.__new__(cls, (seed, count, params))
 
 
+# The largest u: random() + 2^-54 rounds to 1.0 for the top word, and
+# _transform clamps it to this
+_U_MAX = 1.0 - 2.0**-53
+
+
+def _transform(b: np.ndarray, p: FrechetParams) -> np.ndarray:
+    """x = m + s * (-ln u)^(-1/alpha) in place on b, which holds Generator.random() values.
+
+    u = b + 2^-54, the module docstring's mapping, clamped to _U_MAX.  A
+    draw that overflows is left as it comes, with no numpy warning.
+    """
+    b += 2.0**-54
+    np.minimum(b, _U_MAX, out=b)
+    np.log(b, out=b)
+    np.negative(b, out=b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b **= -1.0 / p.alpha
+        b *= p.scale
+        b += p.location
+    return b
+
+
+def _blocks(config: SamplerConfig, out: np.ndarray) -> Iterator[np.ndarray]:
+    """The sample's blocks of _CHUNK values in order, each drawn in place into out.
+
+    out holds either the whole sample, each block at its place in it, or
+    one block, which every block reuses.  PCG64 makes each double from one
+    word of its stream, so consecutive blocks give the same draws as one
+    of `count`.  Raises DomainError, with no numpy warning, at the first
+    block with a draw that overflows float64.
+    """
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    p = config.params
+    whole = out.size == config.count
+    for start in range(0, config.count, _CHUNK):
+        b = out[start:start + _CHUNK] if whole else out[:config.count - start]
+        rng.random(out=b)
+        if not np.isfinite(_transform(b, p)).all():
+            raise DomainError(
+                f"the sample overflows float64: location {p.location!r}, scale {p.scale!r} "
+                f"and alpha {p.alpha!r} give draws that are not all finite"
+            )
+        yield b
+
+
 def sample(config: SamplerConfig) -> np.ndarray:
     """Draw `count` values via x = m + s * (-ln u)^(-1/alpha), u uniform in (0,1).
 
     Raises DomainError, with no numpy warning, when a draw overflows float64.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    p = config.params
     x = np.empty(config.count, dtype=np.float64)
-    # block by block, in place in x; PCG64 makes each double from one word
-    # of its stream, so consecutive blocks give the same draws as one of `count`
-    for start in range(0, config.count, _CHUNK):
-        b = x[start:start + _CHUNK]
-        # u = random() + 2^-54, the module docstring's mapping
-        rng.random(out=b)
-        b += 2.0**-54
-        np.log(b, out=b)
-        np.negative(b, out=b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            b **= -1.0 / p.alpha
-            b *= p.scale
-            b += p.location
-        if not np.isfinite(b).all():
-            raise DomainError(
-                f"the sample overflows float64: location {p.location!r}, scale {p.scale!r} "
-                f"and alpha {p.alpha!r} give draws that are not all finite"
-            )
+    for _ in _blocks(config, x):
+        pass
     return x
 
 
@@ -751,3 +779,55 @@ def write_samples(path: Union[str, Path], values: Sequence[float]) -> None:
     with open(path, "wb") as fh:
         for start in range(0, x.size, _CHUNK):
             fh.write(_format_fixed(x[start:start + _CHUNK], ws))
+
+
+def _may_overflow(config: SamplerConfig) -> bool:
+    """Whether a draw of the sample, or a sum of its moments, could overflow float64.
+
+    No u exceeds _U_MAX, and in exact arithmetic x increases with u, so
+    every draw lies in [m, m + s t] for t = (-ln u)^(-1/alpha) at _U_MAX.
+    numpy's log and pow are within a few ulps but need not be monotone, so
+    the bound takes 2 s t: where t is finite, 1/alpha < 19.3 (as -ln _U_MAX
+    is about 2^-53), so pow amplifies those few ulps at most about 20 times.
+    So no draw exceeds W = |m| + 2 s t in magnitude.  _Moments sums up to
+    `count` fourth powers of deviations below 2W, and its merge terms reach
+    count^2 times such a power; where 256 count^2 W^4 is finite, so is each
+    of them, and so is the sum of a block of draws.
+    """
+    t = float(_transform(np.array([_U_MAX]), FrechetParams(0.0, 1.0, config.params.alpha))[0])
+    w = abs(config.params.location) + 2.0 * config.params.scale * t
+    w *= w
+    return not math.isfinite(256.0 * config.count**2 * w * w)
+
+
+def _stream(config: SamplerConfig, x: np.ndarray, ws: _Workspace, fh: Optional[BinaryIO]) -> _Moments:
+    """The moments of sample(config), each block drawn into x and, where fh is given, written to it."""
+    moments = _Moments()
+    for b in _blocks(config, x):
+        if fh is not None:
+            fh.write(_format_fixed(b, ws))
+        # two rows of ws.f, free again once the block is formatted
+        moments.add(b, *ws.f[:2, :b.size])
+    return moments
+
+
+def sample_to_file(path: Union[str, Path], config: SamplerConfig) -> _Moments:
+    """write_samples(path, sample(config)) without holding the sample; returns its moments.
+
+    Each block of _CHUNK values is drawn into one buffer, written with
+    _format_fixed and merged into estimation._Moments, so the file's bytes
+    are those of write_samples and the moments' stats() is
+    sample_stats(sample(config)), bit for bit.  A draw that overflows, or
+    for a count of at least 2 a spread that overflows the moments, raises
+    DomainError before the file is opened, as sample and sample_stats do
+    before write_samples: where _may_overflow says either could happen, a
+    check pass draws and merges every block first and stores nothing.
+    """
+    x = np.empty(min(config.count, _CHUNK))
+    ws = _Workspace(x.size)
+    if _may_overflow(config):
+        checked = _stream(config, x, ws, None)
+        if checked.count >= 2:
+            checked.stats()  # DomainError where the spread overflows
+    with open(path, "wb") as fh:
+        return _stream(config, x, ws, fh)

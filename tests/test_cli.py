@@ -24,7 +24,7 @@ from frechetfit import (
     sample_stats,
     write_samples,
 )
-from frechetfit.cli import main
+from frechetfit.cli import _json_value, main
 from frechetfit.sampling_io import _CHUNK, _LINES
 
 
@@ -249,6 +249,44 @@ class TestSample:
         assert code == 3, err
         assert out == "" and err.startswith("error: ")
         assert not f.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # draws of the first block stay finite, a later block's overflow
+        ("--alpha", "1", "--scale", "1e304", "--seed", "7", "--count", str(4 * _CHUNK)),
+        # every draw is finite, their spread overflows the moments
+        ("--alpha", "5", "--scale", "1e300", "--count", "10"),
+        # every draw rounds to 1e100, and a block's mean rounds by an ulp
+        ("--alpha", "0.5", "--location", "1e100", "--count", "1000"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_keeps_an_existing_file(self, capsys, tmp_path, argv):
+        f = tmp_path / "f.txt"
+        f.write_bytes(b"1.5\n2.5\n")
+        code, out, err = run(capsys, "sample", *argv, "-o", str(f))
+        assert code == 3, err
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f.read_bytes() == b"1.5\n2.5\n"
+
+    @pytest.mark.parametrize("count", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("alpha, location, scale", [
+        (5.0, 0.0, 1.0),
+        # the largest draw any seed can give overflows, so a check pass runs;
+        # these draws and their moments do not
+        (0.1, -3.0, 0.5),
+    ])
+    def test_streamed_output_matches_array_path(self, capsys, tmp_path, count, alpha, location, scale):
+        f, expected = tmp_path / "s.txt", tmp_path / "expected.txt"
+        code, out, _ = run(capsys, "sample", "--alpha", repr(alpha), "--location", repr(location),
+                           "--scale", repr(scale), "--count", str(count), "--seed", "5",
+                           "-o", str(f), "--format", "json")
+        assert code == 0
+        x = sample(SamplerConfig(seed=5, count=count, params=FrechetParams(location, scale, alpha)))
+        write_samples(expected, x)
+        assert f.read_bytes() == expected.read_bytes()
+        stats = sample_stats(x) if count >= 2 else None
+        payload = json.loads(out)
+        for key in ("mean", "variance", "skewness", "excess_kurtosis"):
+            assert payload[key] == (None if stats is None else _json_value(getattr(stats, key))), key
 
     def test_json_payload(self, capsys, tmp_path):
         f = tmp_path / "s.txt"

@@ -41,6 +41,7 @@ def expression(alpha, m, s, seed, count):
     rng = np.random.Generator(np.random.PCG64(seed))
     bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
     u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = np.minimum(u, 1.0 - 2.0**-53)  # the top word rounds to 1.0
     with np.errstate(over="ignore"):
         return m + s * (-np.log(u)) ** (-1.0 / alpha)
 
@@ -102,6 +103,29 @@ class TestSampler:
         assert np.isfinite(expected[:_CHUNK]).all() and not np.isfinite(expected).all()
         with pytest.raises(DomainError, match="overflows float64"):
             sample(config(alpha=alpha, m=m, s=s, seed=seed, count=count))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.06, 1.0, 5.0])
+    def test_largest_uniform_stays_below_one(self, alpha):
+        # the top word's random() is 1 - 2^-53, and random() + 2^-54 rounds
+        # to 1.0, where (-ln u)^(-1/alpha) would be inf
+        b = np.array([1.0 - 2.0**-53, 0.5])
+        x = sampling_io._transform(b, FrechetParams(0.0, 1.0, alpha))
+        assert np.isfinite(x).all()
+        assert x[0] == (-np.log(1.0 - 2.0**-53)) ** (-1.0 / alpha)
+
+    @pytest.mark.parametrize("alpha,m,s,count,may", [
+        (5.0, 0.0, 1.0, 10**6, False),
+        (0.5, -1e60, 1.0, 10**6, False),
+        # a block's mean rounds by about |m| eps, and its deviations by as much
+        (0.5, 1e100, 1.0, 10**6, True),
+        (1.0, 0.0, 1e304, 4 * _CHUNK, True),  # draws overflow
+        (0.05, 0.0, 1.0, 10, True),  # the largest draw overflows, the sample need not
+        (5.0, 0.0, 1e300, 10, True),  # draws are finite, their squares are not
+        (5.0, 1e306, 1.0, 10**6, True),  # the sum of a block overflows
+    ])
+    def test_overflow_gate(self, alpha, m, s, count, may):
+        assert sampling_io._may_overflow(config(alpha=alpha, m=m, s=s, count=count)) is may
 
     def test_empirical_cdf_at_median(self):
         d = FrechetParams(0.0, 1.0, 2.0)
@@ -494,6 +518,27 @@ class TestFileStats:
         assert repr(stats) == repr(sample_stats([1.0, 2.0, 4.0]))
 
 
+class TestSampleToFile:
+    """sample_to_file(p, c) writes write_samples(p, sample(c)) and returns its moments."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("alpha,m,s", [(5.0, 0.0, 1.0), (0.1, 1.5, 2.0)], ids=["plain", "gated"])
+    def test_matches_array_path(self, tmp_path, count, alpha, m, s):
+        c = config(alpha=alpha, m=m, s=s, seed=count, count=count)
+        assert sampling_io._may_overflow(c) == (alpha < 1)  # the check pass runs
+        streamed, expected = tmp_path / "streamed.txt", tmp_path / "expected.txt"
+        moments = sampling_io.sample_to_file(streamed, c)
+        x = sample(c)
+        write_samples(expected, x)
+        assert streamed.read_bytes() == expected.read_bytes()
+        assert moments.count == count
+        if count == 1:
+            with pytest.raises(FrechetFitError):
+                sample_stats(x)
+        else:
+            assert repr(moments.stats()) == repr(sample_stats(x))
+
+
 class TestWriteReadRoundTrip:
     def test_lossless(self, tmp_path):
         x = sample(config(count=500, seed=3))
@@ -733,6 +778,22 @@ class TestPeakMemory:
         code, peak = traced_peak(main, ["estimate", "--input", str(p)])
         assert code == 0 and f"count {self.N}," in capsys.readouterr().out
         assert peak <= self.SCRATCH
+
+    def test_sample_output(self, tmp_path, capsys):
+        # the draws are written and merged block by block: no array of the
+        # sample, only the writer's workspace (5.8 MB) and a block of scratch
+        from frechetfit.cli import main
+
+        n = 10**6
+        ws = sampling_io._Workspace(_CHUNK)
+        bound = sum(a.nbytes for a in vars(ws).values()) + self.SCRATCH
+        del ws
+        assert 8 * n > bound
+        p = tmp_path / "s.txt"
+        main(["sample", "--alpha", "5", "--count", "10", "-o", str(p)])
+        code, peak = traced_peak(main, ["sample", "--alpha", "5", "--count", str(n), "-o", str(p)])
+        assert code == 0 and f"wrote {n} samples" in capsys.readouterr().out
+        assert peak <= bound
 
     def test_read_samples_scanner(self, tmp_path):
         # a CRLF file goes to _scan, which holds the text, its lines and a
