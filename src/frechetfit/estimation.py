@@ -248,6 +248,15 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     return EstimateResult(alpha, Method.EXACT_ROOT, v * abs(math.expm1(log_ratio)), evaluations)
 
 
+# _Moments.add merges a block of equal values with zero central sums where
+# its mean exceeds this in magnitude.  Their deviations from the rounded mean
+# are a few ulps of it (up to 5 seen), whose fourth powers, summed over a
+# block of up to 2^15 values and taken about the mean, overflow from a mean
+# of about 2.2e91 (seen for 32768 equal values); 2^300 (2e90) covers
+# deviations of 8 ulps, and ordinary data never reaches it.
+_EQUAL_BLOCK_MEAN = 2.0**300
+
+
 class _Moments:
     """Count, mean and central sums M2, M3, M4 of blocks of values added in order.
 
@@ -256,7 +265,9 @@ class _Moments:
     by the pairwise update of Chan, Golub and LeVeque (1983) and Pebay
     (SAND2008-6212).  Every block but the last holds sampling_io._CHUNK
     values, so equal values in equal blocks give equal moments, whether the
-    blocks are slices of one array or read from a file one at a time.
+    blocks are slices of one array or read from a file one at a time.  A
+    block of equal values with a mean above _EQUAL_BLOCK_MEAN is merged with
+    its value as the mean and zero sums, as its deviations could overflow.
     """
 
     def __init__(self):
@@ -274,18 +285,22 @@ class _Moments:
             if not math.isfinite(mb) and self.finite:
                 # a nan or an infinity makes the sum one; so does overflow
                 self.finite = bool(np.isfinite(block).all())
-            np.subtract(block, mb, out=d)
-            e = float(d.sum()) / nb
-            np.multiply(d, d, out=d2)
-            s2 = float(d2.sum())
-            s3 = float(np.multiply(d2, d, out=d).sum())
-            d2 *= d2
-            s4 = float(d2.sum())
-        # the sums about the block's mean mb + e, from those about mb
-        mb += e
-        m2b = s2 - nb * e * e
-        m3b = s3 - 3.0 * e * s2 + 2.0 * nb * e * e * e
-        m4b = s4 - 4.0 * e * s3 + 6.0 * e * e * s2 - 3.0 * nb * e * e * e * e
+            # tested on the block, which d may overwrite
+            if not abs(mb) <= _EQUAL_BLOCK_MEAN and self.finite and block.min() == block.max():
+                mb, m2b, m3b, m4b = float(block[0]), 0.0, 0.0, 0.0
+            else:
+                np.subtract(block, mb, out=d)
+                e = float(d.sum()) / nb
+                np.multiply(d, d, out=d2)
+                s2 = float(d2.sum())
+                s3 = float(np.multiply(d2, d, out=d).sum())
+                d2 *= d2
+                s4 = float(d2.sum())
+                # the sums about the block's mean mb + e, from those about mb
+                mb += e
+                m2b = s2 - nb * e * e
+                m3b = s3 - 3.0 * e * s2 + 2.0 * nb * e * e * e
+                m4b = s4 - 4.0 * e * s3 + 6.0 * e * e * s2 - 3.0 * nb * e * e * e * e
         na = self.count
         if na == 0:
             self.count, self.mean, self.m2, self.m3, self.m4 = nb, mb, m2b, m3b, m4b

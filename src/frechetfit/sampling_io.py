@@ -30,9 +30,12 @@ from .frechet import FrechetParams, _Validated
 
 __all__ = ["SamplerConfig", "sample", "read_samples", "file_stats", "write_samples"]
 
-# Values per block of the sampler, of sample_stats and file_stats and of each
-# fh.write; a block's buffers stay under a megabyte.
+# Values per block of the sampler and of sample_stats and file_stats; a
+# block's buffers stay under a megabyte.
 _CHUNK = 1 << 15
+# Values per _format_fixed call and per fh.write of the writer: a half block
+# halves every row of its workspace, and formats as fast per value
+_WRITE_CHUNK = _CHUNK // 2
 
 
 class _SamplerConfigFields(NamedTuple):
@@ -557,33 +560,49 @@ def file_stats(path: Union[str, Path], column: Optional[str] = None) -> SampleSt
 # 10^s for the scale s = 16 - E, for every E within one of the exponents
 # [-4, 15] of 1e-4 <= |v| < 1e16; each is exact (10^22 is the last that is)
 _POW10 = np.array([float(10**s) for s in range(23)])
-# a row's sort key in _format_fixed is E << _ROW_BITS plus its index in the chunk
-_ROW_BITS = (_CHUNK - 1).bit_length()
+# a row's sort key in _format_fixed is E << _ROW_BITS plus its index in the call
+_ROW_BITS = (_WRITE_CHUNK - 1).bit_length()
 # the keys at which the rows of each exponent E in [-4, 15] start, and one past
 _GROUP_KEYS = np.arange(-4, 17) << _ROW_BITS
 
 
 class _Workspace:
-    """The buffers of one write_samples call, each for up to `size` values.
+    """The buffers of _format_fixed calls of up to `size` values, and merge scratch.
 
-    A chunk of n values works in views [:n] of them, so every chunk reuses
+    A call of n values works in views [:n] of them, so every call reuses
     the same pages: fresh temporaries past glibc's mmap threshold would be
-    handed back to the kernel after each chunk and faulted in again.
+    handed back to the kernel after each call and faulted in again.  i,
+    masks, kept and rows (43 bytes a value) live through a whole call.  The
+    rest share one block of 56 bytes a value, and 24 more, in regions whose
+    lifetimes do not overlap:
+
+    - a = |x| and the six TwoProduct rows f (bytes [0, 56) a value) live
+      until N is sorted;
+    - then the digit scratch u ([0, 12)) while the digits are taken;
+    - the digits ([24, 41)) until the text is laid out from them;
+    - the text ([0, 24)) until it is scattered into out;
+    - out ([24, 49), and 24 bytes) until it is written.
+
+    spare is the whole block as float64, 7 size + 3 values: scratch for a
+    merge between calls, such as a block of the sampler (at most 2 size
+    values where size is _WRITE_CHUNK).
     """
 
     def __init__(self, size: int):
-        self.a = np.empty(size)
-        self.f = np.empty((6, size))
-        self.i = np.empty((4, size), dtype=np.int64)
-        self.u = np.empty((3, size), dtype=np.uint32)
-        self.masks = np.empty((2, size), dtype=bool)
-        self.kept = np.empty(size, dtype=np.int8)
-        self.digits = np.empty((17, size), dtype=np.uint8)
-        self.text = np.empty((24, size), dtype=np.uint8)
+        self.spare = np.empty(7 * size + 3)
+        block = self.spare.view(np.uint8)
+        self.a = self.spare[:size]
+        self.f = self.spare[size:7 * size].reshape(6, size)
+        self.u = block[:12 * size].view(np.uint32).reshape(3, size)
+        self.digits = block[24 * size:41 * size].reshape(17, size)
+        self.text = block[:24 * size].reshape(24, size)
         # a line is at most 25 bytes (a negative value with a three-digit
         # exponent); one lead byte before the first line, and room for the
         # stray bytes after the last (see _format_fixed)
-        self.out = np.empty(25 * size + 24, dtype=np.uint8)
+        self.out = block[24 * size:49 * size + 24]
+        self.i = np.empty((4, size), dtype=np.int64)
+        self.masks = np.empty((2, size), dtype=bool)
+        self.kept = np.empty(size, dtype=np.int8)
         self.rows = np.arange(size)
 
 
@@ -653,7 +672,8 @@ def _format_fixed(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     _round_scaled). The rows `rest` hold every other value, often none: zero,
     subnormals and exponent notation. Those go through "%.17g", the routine
     format() uses, and are laid out with the others. a = |x|, in ws, is
-    overwritten in those rows; every other intermediate but rest is a view of ws.
+    overwritten in those rows; every other intermediate but rest is a view of
+    ws, in the region of its lifetime (see _Workspace).
     """
     n = x.size
     a = np.abs(x, out=ws.a[:n])
@@ -744,7 +764,7 @@ def _format_fixed(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     # later scatter overwrites: the newline, or a smaller column of a later
     # line. A positive line's sign lands on the newline before it, or byte 0
     neg = zeros
-    np.less(np.take(x, order, out=f[0], mode="clip"), 0, out=neg)
+    np.take(np.less(x, 0, out=flag), order, out=neg, mode="clip")
     neg[bounds[-1]:] = False  # the rows of rest: in the text already
     lengths = np.add(width, neg, out=i1)
     lengths += 1
@@ -768,17 +788,23 @@ def write_samples(path: Union[str, Path], values: Sequence[float]) -> None:
 
     The file holds exactly the bytes of format(v, ".17g") + "\n" for each
     value, taken as a float64. A nan or infinite value raises DomainError
-    before the file is opened. The chunks of _CHUNK values are formatted
-    in one workspace, allocated per call.
+    before the file is opened. The values are formatted and written
+    _WRITE_CHUNK at a time, in one workspace allocated per call (about
+    1.6 MB for 16384 values or more).
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     if not np.isfinite(x).all():
         i = int(np.argmin(np.isfinite(x)))
         raise DomainError(f"cannot write non-finite value {float(x[i])!r} at index {i}")
-    ws = _Workspace(min(x.size, _CHUNK))
+    ws = _Workspace(min(x.size, _WRITE_CHUNK))
     with open(path, "wb") as fh:
-        for start in range(0, x.size, _CHUNK):
-            fh.write(_format_fixed(x[start:start + _CHUNK], ws))
+        _write(fh, x, ws)
+
+
+def _write(fh: BinaryIO, x: np.ndarray, ws: _Workspace) -> None:
+    """The finite float64 values x into fh, _WRITE_CHUNK values to each _format_fixed call and fh.write."""
+    for start in range(0, x.size, _WRITE_CHUNK):
+        fh.write(_format_fixed(x[start:start + _WRITE_CHUNK], ws))
 
 
 def _may_overflow(config: SamplerConfig) -> bool:
@@ -801,30 +827,34 @@ def _may_overflow(config: SamplerConfig) -> bool:
 
 
 def _stream(config: SamplerConfig, x: np.ndarray, ws: _Workspace, fh: Optional[BinaryIO]) -> _Moments:
-    """The moments of sample(config), each block drawn into x and, where fh is given, written to it."""
+    """The moments of sample(config), each block drawn into x and, where fh is given, written to it.
+
+    The merge overwrites the block, once it is written, and ws.spare.
+    """
     moments = _Moments()
     for b in _blocks(config, x):
         if fh is not None:
-            fh.write(_format_fixed(b, ws))
-        # two rows of ws.f, free again once the block is formatted
-        moments.add(b, *ws.f[:2, :b.size])
+            _write(fh, b, ws)
+        moments.add(b, b, ws.spare[:b.size])
     return moments
 
 
 def sample_to_file(path: Union[str, Path], config: SamplerConfig) -> _Moments:
     """write_samples(path, sample(config)) without holding the sample; returns its moments.
 
-    Each block of _CHUNK values is drawn into one buffer, written with
-    _format_fixed and merged into estimation._Moments, so the file's bytes
-    are those of write_samples and the moments' stats() is
-    sample_stats(sample(config)), bit for bit.  A draw that overflows, or
-    for a count of at least 2 a spread that overflows the moments, raises
-    DomainError before the file is opened, as sample and sample_stats do
-    before write_samples: where _may_overflow says either could happen, a
-    check pass draws and merges every block first and stores nothing.
+    Each block of _CHUNK values is drawn into one buffer, written half a
+    block at a time as write_samples writes, in one workspace of about
+    1.6 MB, and then merged in place into estimation._Moments, with the
+    workspace as scratch; so the file's bytes are those of write_samples
+    and the moments' stats() is sample_stats(sample(config)), bit for
+    bit.  A draw that overflows, or for a count of at least 2 a spread
+    that overflows the moments, raises DomainError before the file is
+    opened, as sample and sample_stats do before write_samples: where
+    _may_overflow says either could happen, a check pass draws and merges
+    every block first and stores nothing.
     """
     x = np.empty(min(config.count, _CHUNK))
-    ws = _Workspace(x.size)
+    ws = _Workspace(min(config.count, _WRITE_CHUNK))
     if _may_overflow(config):
         checked = _stream(config, x, ws, None)
         if checked.count >= 2:

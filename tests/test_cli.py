@@ -25,7 +25,7 @@ from frechetfit import (
     write_samples,
 )
 from frechetfit.cli import _json_value, main
-from frechetfit.sampling_io import _CHUNK, _LINES
+from frechetfit.sampling_io import _CHUNK, _LINES, _WRITE_CHUNK
 
 
 def run(capsys, *argv):
@@ -255,8 +255,6 @@ class TestSample:
         ("--alpha", "1", "--scale", "1e304", "--seed", "7", "--count", str(4 * _CHUNK)),
         # every draw is finite, their spread overflows the moments
         ("--alpha", "5", "--scale", "1e300", "--count", "10"),
-        # every draw rounds to 1e100, and a block's mean rounds by an ulp
-        ("--alpha", "0.5", "--location", "1e100", "--count", "1000"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_overflow_keeps_an_existing_file(self, capsys, tmp_path, argv):
@@ -267,7 +265,20 @@ class TestSample:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert f.read_bytes() == b"1.5\n2.5\n"
 
-    @pytest.mark.parametrize("count", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.filterwarnings("error")
+    def test_constant_large_draws(self, capsys, tmp_path):
+        # every draw rounds to 1e100; a block's mean rounds by an ulp, whose
+        # fourth power would overflow, but the spread is 0
+        f = tmp_path / "f.txt"
+        code, out, err = run(capsys, "sample", "--alpha", "0.5", "--location", "1e100",
+                             "--count", "1000", "-o", str(f), "--format", "json")
+        assert code == 0, err
+        assert f.read_text() == "1e+100\n" * 1000
+        payload = json.loads(out)
+        assert payload["mean"] == 1e100 and payload["variance"] == 0.0
+
+    @pytest.mark.parametrize("count", [1, 2, 3, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1,
+                                       _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
     @pytest.mark.parametrize("alpha, location, scale", [
         (5.0, 0.0, 1.0),
         # the largest draw any seed can give overflows, so a check pass runs;

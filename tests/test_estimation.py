@@ -29,7 +29,7 @@ from frechetfit import (
     SamplerConfig,
 )
 from frechetfit import estimation, frechet
-from frechetfit.sampling_io import _CHUNK
+from frechetfit.sampling_io import _CHUNK, file_stats
 
 TABLE_VARIANCES = (0.133761, 0.0222624, 0.000694362, 0.000168916)
 TABLE_ORDER1 = (3.51, 8.60, 48.67, 98.68)
@@ -414,6 +414,36 @@ class TestSampleStats:
     def test_overflowing_spread(self):
         with pytest.raises(DomainError, match="spread overflows float64"):
             sample_stats([1e200, 2e200, 3e200])
+
+    @pytest.mark.filterwarnings("error")
+    def test_nearly_constant_overflowing_spread(self):
+        # one value an ulp (2e84) off the others: a real spread, whose fourth power overflows
+        with pytest.raises(DomainError, match="spread overflows float64"):
+            sample_stats([1e100, 1e100, 1e100 * (1 + 2**-52)])
+
+    @pytest.mark.parametrize("x", [np.full(10, 1e100), np.full(100_000, 3e100), np.full(5, -1.7e308)],
+                             ids=["1e100", "3e100-in-blocks", "sum-overflows"])
+    @pytest.mark.filterwarnings("error")
+    def test_constant_large_values(self, x):
+        # a block's mean rounds by an ulp (about 1e84 at 1e100), whose fourth
+        # power overflows, or the block's sum overflows; the spread is 0
+        s = sample_stats(x)
+        assert s.mean == x[0] and s.variance == 0.0
+        assert math.isnan(s.skewness) and math.isnan(s.excess_kurtosis)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_constant_non_finite_values(self, value):
+        with pytest.raises(DomainError, match="nan or infinite"):
+            sample_stats([value] * 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_large_values_from_a_file(self, tmp_path):
+        p = tmp_path / "constant.txt"
+        p.write_text("1e+100\n" * (_CHUNK + 5))
+        s = file_stats(p)
+        assert repr(s) == repr(sample_stats(np.full(_CHUNK + 5, 1e100)))
+        assert s.mean == 1e100 and s.variance == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_value(self):

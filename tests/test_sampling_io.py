@@ -29,7 +29,7 @@ from frechetfit import (
     write_samples,
 )
 from frechetfit import sampling_io
-from frechetfit.sampling_io import _CHUNK, _scan
+from frechetfit.sampling_io import _CHUNK, _WRITE_CHUNK, _scan
 
 
 def config(alpha=5.0, m=0.0, s=1.0, seed=42, count=1000):
@@ -521,7 +521,8 @@ class TestFileStats:
 class TestSampleToFile:
     """sample_to_file(p, c) writes write_samples(p, sample(c)) and returns its moments."""
 
-    @pytest.mark.parametrize("count", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("count", [1, 2, 3, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1,
+                                       _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
     @pytest.mark.parametrize("alpha,m,s", [(5.0, 0.0, 1.0), (0.1, 1.5, 2.0)], ids=["plain", "gated"])
     def test_matches_array_path(self, tmp_path, count, alpha, m, s):
         c = config(alpha=alpha, m=m, s=s, seed=count, count=count)
@@ -639,24 +640,29 @@ class TestWriteSamples:
         assert written(tmp_path, x) == dot17g(x.astype(np.float64))
 
     def test_three_chunks(self, tmp_path):
+        # the calls of _format_fixed end at every _WRITE_CHUNK values, so
+        # both the sampler's blocks and the writer's calls are covered
         rng = np.random.default_rng(5)
-        n = 2 * _CHUNK + 123
-        x = np.clip(10.0 ** rng.uniform(-4, 16, n), 1e-4, 9e15) * rng.choice([-1.0, 1.0], n)
-        x[_CHUNK + 7] = 0.0  # the middle chunk goes through the fallback
-        assert written(tmp_path, x) == dot17g(x)
+        for edge in (_CHUNK, _WRITE_CHUNK):
+            n = 2 * edge + 123
+            x = np.clip(10.0 ** rng.uniform(-4, 16, n), 1e-4, 9e15) * rng.choice([-1.0, 1.0], n)
+            x[edge + 7] = 0.0  # the middle chunk goes through the fallback
+            assert written(tmp_path, x) == dot17g(x)
 
     def test_chunks_reuse_the_workspace(self, tmp_path):
-        # each chunk leaves its bytes in the workspace; narrower lines after
+        # each call leaves its bytes in the workspace; narrower lines after
         # wider ones must not pick them up
         rng = np.random.default_rng(8)
-        # "-dddddddddddddddd" and "-dddddddddddddddd.5", E = 15
-        wide = -(rng.integers(10**15, 4 * 10**15, _CHUNK) + rng.choice([0.0, 0.5], _CHUNK))
-        narrow = rng.choice([1.0, 1.5, 2.25, 3.125], _CHUNK)  # E = 0
-        fallback = narrow.copy()
-        fallback[5] = 0.0
-        last = rng.choice([0.5, 2.0, 7.0], 123)
-        x = np.concatenate([wide, narrow, fallback, last])
-        assert written(tmp_path, x) == dot17g(x)
+        for edge in (_CHUNK, _WRITE_CHUNK):
+            # "-dddddddddddddddd" and "-dddddddddddddddd.5", E = 15
+            wide = -(rng.integers(10**15, 4 * 10**15, edge) + rng.choice([0.0, 0.5], edge))
+            narrow = rng.choice([1.0, 1.5, 2.25, 3.125], edge)  # E = 0
+            only_fallback = rng.choice(FALLBACK, edge)
+            fallback = narrow.copy()
+            fallback[5] = 0.0
+            last = rng.choice([0.5, 2.0, 7.0], 123)
+            x = np.concatenate([wide, narrow, only_fallback, fallback, last])
+            assert written(tmp_path, x) == dot17g(x)
 
     @pytest.mark.parametrize("share", [1e-4, 0.37, 0.5, 0.999, 1.0])
     def test_mixed_chunks(self, tmp_path, share):
@@ -665,12 +671,13 @@ class TestWriteSamples:
         # next to the narrowest positional ones, and negative fallback rows
         # after positive positional ones, which lay their sign on the newline
         rng = np.random.default_rng(13)
-        n = 2 * _CHUNK + 1001
-        x = rng.choice([1.0, 2.5, 0.125, -3.0, 1e15 + 0.5, -1.5e-4], n)
-        rows = rng.random(n) < share
-        rows[[0, _CHUNK - 1, _CHUNK, n - 1]] = True
-        x[rows] = rng.choice(FALLBACK + [-TINY_NORMAL, -1e-300, 1e-5, -9e-5, 3e16], int(rows.sum()))
-        assert written(tmp_path, x) == dot17g(x)
+        for edge in (_CHUNK, _WRITE_CHUNK):
+            n = 2 * edge + 1001
+            x = rng.choice([1.0, 2.5, 0.125, -3.0, 1e15 + 0.5, -1.5e-4], n)
+            rows = rng.random(n) < share
+            rows[[0, edge - 1, edge, n - 1]] = True
+            x[rows] = rng.choice(FALLBACK + [-TINY_NORMAL, -1e-300, 1e-5, -9e-5, 3e16], int(rows.sum()))
+            assert written(tmp_path, x) == dot17g(x)
 
     def test_empty(self, tmp_path):
         assert written(tmp_path, []) == b""
@@ -781,12 +788,13 @@ class TestPeakMemory:
 
     def test_sample_output(self, tmp_path, capsys):
         # the draws are written and merged block by block: no array of the
-        # sample, only the writer's workspace (5.8 MB) and a block of scratch
+        # sample, only the writer's workspace (1.6 MB) and a block of scratch;
+        # the workspace's views into its shared block are not counted again
         from frechetfit.cli import main
 
         n = 10**6
-        ws = sampling_io._Workspace(_CHUNK)
-        bound = sum(a.nbytes for a in vars(ws).values()) + self.SCRATCH
+        ws = sampling_io._Workspace(_WRITE_CHUNK)
+        bound = sum(a.nbytes for a in vars(ws).values() if a.base is None) + self.SCRATCH
         del ws
         assert 8 * n > bound
         p = tmp_path / "s.txt"
