@@ -2,8 +2,8 @@
 
 The moments, estimators and fit are plain float arithmetic and import only
 the standard library.  The sample layer (SamplerConfig, sample, read_samples,
-file_stats, write_samples) needs numpy, so it is imported on first use of one
-of its names.
+file_stats, write_samples, sample_stats) needs numpy, so it is imported on
+first use of one of its names.
 """
 
 import importlib
@@ -32,7 +32,6 @@ from .estimation import (
     alpha_order1,
     alpha_order2,
     fit_location_scale,
-    sample_stats,
 )
 from .frechet import (
     FrechetParams,
@@ -78,7 +77,9 @@ __all__ = [
     "SamplerConfig", "sample", "read_samples", "file_stats", "write_samples",
 ]
 
-_SAMPLING_IO_NAMES = {"SamplerConfig", "sample", "read_samples", "file_stats", "write_samples"}
+_SAMPLING_IO_NAMES = {
+    "SamplerConfig", "sample", "read_samples", "file_stats", "write_samples", "sample_stats",
+}
 
 
 def __getattr__(name):

@@ -28,8 +28,7 @@ from .sampling_io import SamplerConfig, file_stats, sample_to_file
 # read_samples, sample, sample_stats and write_samples are not called here:
 # estimate --input streams its file (file_stats) and sample -o its draws
 # (sample_to_file); they stay names of this module for code that patches them
-from .estimation import sample_stats  # noqa: F401
-from .sampling_io import read_samples, sample, write_samples  # noqa: F401
+from .sampling_io import read_samples, sample, sample_stats, write_samples  # noqa: F401
 
 SCHEMA_VERSION = 1
 

@@ -1,4 +1,4 @@
-"""Shape-parameter inference from a variance, plus sample-moment utilities.
+"""Shape-parameter inference from a variance, and the moment-matching fit.
 
 Three estimators of increasing fidelity:
 
@@ -28,7 +28,7 @@ EstimateResult, CubicCoefficients and SampleStats are typing.NamedTuples.
 
 import enum
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import DegenerateFitError, DomainError, InsufficientDataError, NoConvergenceError
 from .frechet import (
@@ -52,7 +52,6 @@ __all__ = [
     "alpha_order2",
     "alpha_exact",
     "fit_location_scale",
-    "sample_stats",
 ]
 
 _ALPHA_MIN = 2.0 + 1e-9
@@ -246,132 +245,6 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     t, log_ratio, evaluations = root
     alpha = alpha_0 if t == t_0 else math.exp(t)
     return EstimateResult(alpha, Method.EXACT_ROOT, v * abs(math.expm1(log_ratio)), evaluations)
-
-
-# _Moments.add merges a block of equal values with zero central sums where
-# its mean exceeds this in magnitude.  Their deviations from the rounded mean
-# are a few ulps of it (up to 5 seen), whose fourth powers, summed over a
-# block of up to 2^15 values and taken about the mean, overflow from a mean
-# of about 2.2e91 (seen for 32768 equal values); 2^300 (2e90) covers
-# deviations of 8 ulps, and ordinary data never reaches it.
-_EQUAL_BLOCK_MEAN = 2.0**300
-
-
-class _Moments:
-    """Count, mean and central sums M2, M3, M4 of blocks of values added in order.
-
-    add() takes a block's mean and the sums of the second, third and fourth
-    powers of its deviations from it, and merges them into the running ones
-    by the pairwise update of Chan, Golub and LeVeque (1983) and Pebay
-    (SAND2008-6212).  Every block but the last holds sampling_io._CHUNK
-    values, so equal values in equal blocks give equal moments, whether the
-    blocks are slices of one array or read from a file one at a time.  A
-    block of equal values with a mean above _EQUAL_BLOCK_MEAN is merged with
-    its value as the mean and zero sums, as its deviations could overflow.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self.mean = self.m2 = self.m3 = self.m4 = 0.0
-        self.finite = True  # no value added is a nan or an infinity
-
-    def add(self, block, d, d2) -> None:
-        """Merge in the float64 array `block`; d and d2, as long, are overwritten (d may be block)."""
-        import numpy as np
-
-        nb = block.size
-        with np.errstate(over="ignore", invalid="ignore"):
-            mb = float(block.mean())
-            if not math.isfinite(mb) and self.finite:
-                # a nan or an infinity makes the sum one; so does overflow
-                self.finite = bool(np.isfinite(block).all())
-            # tested on the block, which d may overwrite
-            if not abs(mb) <= _EQUAL_BLOCK_MEAN and self.finite and block.min() == block.max():
-                mb, m2b, m3b, m4b = float(block[0]), 0.0, 0.0, 0.0
-            else:
-                np.subtract(block, mb, out=d)
-                e = float(d.sum()) / nb
-                np.multiply(d, d, out=d2)
-                s2 = float(d2.sum())
-                s3 = float(np.multiply(d2, d, out=d).sum())
-                d2 *= d2
-                s4 = float(d2.sum())
-                # the sums about the block's mean mb + e, from those about mb
-                mb += e
-                m2b = s2 - nb * e * e
-                m3b = s3 - 3.0 * e * s2 + 2.0 * nb * e * e * e
-                m4b = s4 - 4.0 * e * s3 + 6.0 * e * e * s2 - 3.0 * nb * e * e * e * e
-        na = self.count
-        if na == 0:
-            self.count, self.mean, self.m2, self.m3, self.m4 = nb, mb, m2b, m3b, m4b
-            return
-        n = na + nb
-        m2a, m3a = self.m2, self.m3
-        delta = mb - self.mean
-        dn = delta / n
-        w = na * nb * delta * dn  # na nb delta^2 / n
-        self.m4 += m4b + w * dn * dn * (na * na - na * nb + nb * nb) + 6.0 * dn * dn * (
-            na * na * m2b + nb * nb * m2a) + 4.0 * dn * (na * m3b - nb * m3a)
-        self.m3 += m3b + w * dn * (na - nb) + 3.0 * dn * (na * m2b - nb * m2a)
-        self.m2 += m2b + w
-        self.mean += nb * dn
-        self.count = n
-
-    def stats(self) -> SampleStats:
-        n = self.count
-        if n < 2:
-            raise InsufficientDataError(f"need at least 2 values, got {n}")
-        m2, m3, m4 = self.m2 / n, self.m3 / n, self.m4 / n
-        if not (math.isfinite(m2) and math.isfinite(m3) and math.isfinite(m4)):
-            if not self.finite:
-                raise DomainError("the sample holds a nan or infinite value")
-            raise DomainError(
-                "the sample's spread overflows float64: its central moments up to "
-                "order 4 are not all finite"
-            )
-        var = m2 * n / (n - 1)
-        if m2 > 0.0 and n >= 3:
-            skew = (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)
-        else:
-            skew = math.nan
-        if m2 > 0.0 and n >= 4:
-            kurt = ((n + 1) * (n - 1)) / ((n - 2) * (n - 3)) * (
-                m4 / m2**2 - 3.0 * (n - 1) / (n + 1)
-            )
-        else:
-            kurt = math.nan
-        return SampleStats(count=n, mean=self.mean, variance=var, skewness=skew, excess_kurtosis=kurt)
-
-
-def _moments(x) -> _Moments:
-    """The 1-D float64 array x merged into _Moments one block of sampling_io._CHUNK values at a time."""
-    # numpy takes most of the package's import time; only the sample moments here need it
-    import numpy as np
-
-    from .sampling_io import _CHUNK
-
-    moments = _Moments()
-    buffers = np.empty((2, min(x.size, _CHUNK)))
-    for start in range(0, x.size, _CHUNK):
-        block = x[start:start + _CHUNK]
-        moments.add(block, *buffers[:, :block.size])
-    return moments
-
-
-def sample_stats(data: Sequence[float]) -> SampleStats:
-    """Empirical moments; see SampleStats for the exact estimators.
-
-    The values are merged into the moments one block of sampling_io._CHUNK
-    values at a time (see _Moments): each block's mean, then its deviations
-    from that mean and their second, third and fourth powers, formed in two
-    buffers of a block that every block reuses.  sampling_io.file_stats
-    reads a file in the same blocks, so it gives sample_stats(read_samples(f))
-    bit for bit.  numpy is imported on the first call, so the estimators and
-    the fit never load it.
-    """
-    import numpy as np
-
-    return _moments(np.asarray(data, dtype=np.float64).reshape(-1)).stats()
 
 
 def fit_location_scale(stats: SampleStats) -> FrechetParams:

@@ -166,9 +166,10 @@ def quantile(d: FrechetParams, p: float) -> float:
     return d.location + d.scale * (-math.log(p)) ** (-1.0 / d.alpha)
 
 
-_TERMS = 64
+# Coefficients per table: all that _scaled reads at k u = 1/2, its longest sum
+_TERMS = 2 + int(37.5 / math.log(2.0))
 # Cancellation in a table grows with its order (about 1e-6 at order 20) and it
-# overflows float64 from order 92, so higher orders take the binomial sum.
+# overflows float64 from order 98, so higher orders take the binomial sum.
 _MAX_SERIES_ORDER = 20
 # The binomial sum's relative rounding bound above which it raises: every
 # value it returns then keeps about eight digits (measured, orders 2 to 30).

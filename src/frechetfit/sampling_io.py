@@ -1,4 +1,4 @@
-"""Reproducible inverse-CDF sampling and plain-text sample ingestion.
+"""Reproducible inverse-CDF sampling, plain-text sample files and their moments.
 
 The uniform source is numpy's PCG64 pinned by seed.  Each raw 64-bit output
 becomes u = (top53bits + 0.5) / 2^53 in the open interval (0, 1), so the log
@@ -11,8 +11,11 @@ columns), written with 17 significant digits for lossless round trips.
 Both ways, plain decimal lines go through numpy array operations that
 round exactly as format() and float() do.
 
-SamplerConfig is a typing.NamedTuple that checks its count and seed in
-__new__, as frechet.FrechetParams checks its fields.
+_Moments merges the moments of a sample one block of _CHUNK values at a
+time, wherever the values come from: so sample_stats of an array,
+file_stats of a file and the moments that sample_to_file returns agree bit
+for bit on the same values.  SamplerConfig is a typing.NamedTuple that checks
+its count and seed in __new__, as frechet.FrechetParams checks its fields.
 """
 
 import io
@@ -24,18 +27,133 @@ from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, ParseError
-from .estimation import SampleStats, _Moments, _moments
+from .errors import DomainError, EmptyInputError, InsufficientDataError, ParseError
+from .estimation import SampleStats
 from .frechet import FrechetParams, _Validated
 
-__all__ = ["SamplerConfig", "sample", "read_samples", "file_stats", "write_samples"]
+__all__ = ["SamplerConfig", "sample", "read_samples", "file_stats", "write_samples", "sample_stats"]
 
-# Values per block of the sampler and of sample_stats and file_stats; a
+# Values per block of the sampler and of every moment merge (_Moments); a
 # block's buffers stay under a megabyte.
 _CHUNK = 1 << 15
 # Values per _format_fixed call and per fh.write of the writer: a half block
 # halves every row of its workspace, and formats as fast per value
 _WRITE_CHUNK = _CHUNK // 2
+
+
+# _Moments.add merges a block of equal values with zero central sums where
+# its mean exceeds this in magnitude.  Their deviations from the rounded mean
+# are a few ulps of it (up to 5 seen), whose fourth powers, summed over a
+# block of up to 2^15 values and taken about the mean, overflow from a mean
+# of about 2.2e91 (seen for 32768 equal values); 2^300 (2e90) covers
+# deviations of 8 ulps, and ordinary data never reaches it.
+_EQUAL_BLOCK_MEAN = 2.0**300
+
+
+class _Moments:
+    """Count, mean and central sums M2, M3, M4 of blocks of values added in order.
+
+    add() takes a block's mean and the sums of the second, third and fourth
+    powers of its deviations from it, and merges them into the running ones
+    by the pairwise update of Chan, Golub and LeVeque (1983) and Pebay
+    (SAND2008-6212).  Every block but the last holds _CHUNK values, so
+    equal values in equal blocks give equal moments, whether the blocks are
+    slices of one array, drawn one at a time or read from a file.  A block
+    of equal values with a mean above _EQUAL_BLOCK_MEAN is merged with its
+    value as the mean and zero sums, as its deviations could overflow.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.mean = self.m2 = self.m3 = self.m4 = 0.0
+        self.finite = True  # no value added is a nan or an infinity
+
+    def add(self, block, d, d2) -> None:
+        """Merge in the float64 array `block`; d and d2, as long, are overwritten (d may be block)."""
+        nb = block.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            mb = float(block.mean())
+            if not math.isfinite(mb) and self.finite:
+                # a nan or an infinity makes the sum one; so does overflow
+                self.finite = bool(np.isfinite(block).all())
+            # tested on the block, which d may overwrite
+            if not abs(mb) <= _EQUAL_BLOCK_MEAN and self.finite and block.min() == block.max():
+                mb, m2b, m3b, m4b = float(block[0]), 0.0, 0.0, 0.0
+            else:
+                np.subtract(block, mb, out=d)
+                e = float(d.sum()) / nb
+                np.multiply(d, d, out=d2)
+                s2 = float(d2.sum())
+                s3 = float(np.multiply(d2, d, out=d).sum())
+                d2 *= d2
+                s4 = float(d2.sum())
+                # the sums about the block's mean mb + e, from those about mb
+                mb += e
+                m2b = s2 - nb * e * e
+                m3b = s3 - 3.0 * e * s2 + 2.0 * nb * e * e * e
+                m4b = s4 - 4.0 * e * s3 + 6.0 * e * e * s2 - 3.0 * nb * e * e * e * e
+        na = self.count
+        if na == 0:
+            self.count, self.mean, self.m2, self.m3, self.m4 = nb, mb, m2b, m3b, m4b
+            return
+        n = na + nb
+        m2a, m3a = self.m2, self.m3
+        delta = mb - self.mean
+        dn = delta / n
+        w = na * nb * delta * dn  # na nb delta^2 / n
+        self.m4 += m4b + w * dn * dn * (na * na - na * nb + nb * nb) + 6.0 * dn * dn * (
+            na * na * m2b + nb * nb * m2a) + 4.0 * dn * (na * m3b - nb * m3a)
+        self.m3 += m3b + w * dn * (na - nb) + 3.0 * dn * (na * m2b - nb * m2a)
+        self.m2 += m2b + w
+        self.mean += nb * dn
+        self.count = n
+
+    def stats(self) -> SampleStats:
+        n = self.count
+        if n < 2:
+            raise InsufficientDataError(f"need at least 2 values, got {n}")
+        m2, m3, m4 = self.m2 / n, self.m3 / n, self.m4 / n
+        if not (math.isfinite(m2) and math.isfinite(m3) and math.isfinite(m4)):
+            if not self.finite:
+                raise DomainError("the sample holds a nan or infinite value")
+            raise DomainError(
+                "the sample's spread overflows float64: its central moments up to "
+                "order 4 are not all finite"
+            )
+        var = m2 * n / (n - 1)
+        if m2 > 0.0 and n >= 3:
+            skew = (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)
+        else:
+            skew = math.nan
+        if m2 > 0.0 and n >= 4:
+            kurt = ((n + 1) * (n - 1)) / ((n - 2) * (n - 3)) * (
+                m4 / m2**2 - 3.0 * (n - 1) / (n + 1)
+            )
+        else:
+            kurt = math.nan
+        return SampleStats(count=n, mean=self.mean, variance=var, skewness=skew, excess_kurtosis=kurt)
+
+
+def _moments(x) -> _Moments:
+    """The 1-D float64 array x merged into _Moments one block of _CHUNK values at a time."""
+    moments = _Moments()
+    buffers = np.empty((2, min(x.size, _CHUNK)))
+    for start in range(0, x.size, _CHUNK):
+        block = x[start:start + _CHUNK]
+        moments.add(block, *buffers[:, :block.size])
+    return moments
+
+
+def sample_stats(data: Sequence[float]) -> SampleStats:
+    """Empirical moments; see SampleStats for the exact estimators.
+
+    The values are merged into the moments one block of _CHUNK values at a
+    time (see _Moments): each block's mean, then its deviations from that
+    mean and their second, third and fourth powers, formed in two buffers of
+    a block that every block reuses.  file_stats reads a file in the same
+    blocks, so it gives sample_stats(read_samples(f)) bit for bit.
+    """
+    return _moments(np.asarray(data, dtype=np.float64).reshape(-1)).stats()
 
 
 class _SamplerConfigFields(NamedTuple):
@@ -546,7 +664,7 @@ def file_stats(path: Union[str, Path], column: Optional[str] = None) -> SampleSt
     The file takes read_samples' routes and raises its errors, then
     sample_stats' errors.  On the plain route no pass counts the lines:
     each _CHUNK values, counted from the first after a header, are parsed
-    into one buffer and merged into the moments (estimation._Moments), the
+    into one buffer and merged into the moments (_Moments), the
     blocks that sample_stats takes of the array.  A file that the plain
     route gives up on, after some blocks or none, is read by the line
     scanner, and its values are merged afresh in the same blocks.
@@ -844,14 +962,14 @@ def sample_to_file(path: Union[str, Path], config: SamplerConfig) -> _Moments:
 
     Each block of _CHUNK values is drawn into one buffer, written half a
     block at a time as write_samples writes, in one workspace of about
-    1.6 MB, and then merged in place into estimation._Moments, with the
-    workspace as scratch; so the file's bytes are those of write_samples
-    and the moments' stats() is sample_stats(sample(config)), bit for
-    bit.  A draw that overflows, or for a count of at least 2 a spread
-    that overflows the moments, raises DomainError before the file is
-    opened, as sample and sample_stats do before write_samples: where
-    _may_overflow says either could happen, a check pass draws and merges
-    every block first and stores nothing.
+    1.6 MB, and then merged in place into _Moments, with the workspace as
+    scratch; so the file's bytes are those of write_samples and the
+    moments' stats() is sample_stats(sample(config)), bit for bit.  A
+    draw that overflows, or for a count of at least 2 a spread that
+    overflows the moments, raises DomainError before the file is opened, as
+    sample and sample_stats do before write_samples: where _may_overflow
+    says either could happen, a check pass draws and merges every block
+    first and stores nothing.
     """
     x = np.empty(min(config.count, _CHUNK))
     ws = _Workspace(min(config.count, _WRITE_CHUNK))

@@ -513,7 +513,8 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 def test_package_import_leaves_numpy_unloaded():
     # the moments, estimators and fit are scalar code: numpy loads only with
-    # the sample layer, on the first read of one of its names
+    # the sample layer, sample_stats among it, on the first read of one of
+    # its names
     env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
     code = "\n".join([
         "import sys, frechetfit as ff",
@@ -526,6 +527,7 @@ def test_package_import_leaves_numpy_unloaded():
         "ff.fit_location_scale(ff.SampleStats(1000, 1.0, v, s, 30.0))",
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')))",
         "print(ff.read_samples is ff.sampling_io.read_samples, 'numpy' in sys.modules)",
+        "print(ff.sample_stats is ff.sampling_io.sample_stats)",
         "try:",
         "    ff.no_such_name",
         "except AttributeError as exc:",
@@ -533,7 +535,7 @@ def test_package_import_leaves_numpy_unloaded():
     ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
-        "[]", "True True", "module 'frechetfit' has no attribute 'no_such_name'",
+        "[]", "True True", "True", "module 'frechetfit' has no attribute 'no_such_name'",
     ]
 
 

@@ -21,6 +21,7 @@ from frechetfit import (
     skewness,
     variance,
 )
+from frechetfit import frechet
 from frechetfit.checks import centered_moment_quad, quad_full, raw_moment_quad
 
 STD = FrechetParams(0.0, 1.0, 2.0)
@@ -379,6 +380,15 @@ class TestSeriesKernel:
                 normalized = mu(k) / mu(2) ** (mp.mpf(k) / 2)
                 got = normalized_centered_moment(FrechetShape(alpha), k)
                 assert abs(got - normalized) <= bound * abs(normalized), alpha
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_the_longest_sum_reads_the_whole_table(self, k):
+        # at alpha = 2k, k u = 1/2, the series takes every coefficient, so
+        # the table holds none that no sum reads
+        s = 0.0
+        for c in frechet._series(k):
+            s = s * (0.5 / k) + c
+        assert frechet._scaled(2.0 * k, k) == (s, 0.0)
 
     def test_skewness_and_kurtosis_are_the_normalized_moments(self):
         # bit for bit, on the 400-point grid of the benchmark and a few more
