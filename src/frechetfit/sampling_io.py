@@ -22,8 +22,9 @@ import io
 import math
 import sys
 from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -260,11 +261,12 @@ def _layout(tokens: list[str], column: Optional[str], lineno: int) -> tuple[int,
     return header.index(column), True
 
 
-def _scan(text: str, column: Optional[str]) -> list[float]:
-    """Line-by-line reader; it defines the format and gives ParseError its line number."""
-    values: list[float] = []
+def _scan(lines: Iterable[str], column: Optional[str]) -> Iterator[float]:
+    """Line-by-line reader, yielding each value; it defines the format and gives ParseError its line number."""
     col_index = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")  # a byte-order mark
         tokens = _split(line)
         if not tokens:
             continue
@@ -281,8 +283,7 @@ def _scan(text: str, column: Optional[str]) -> list[float]:
             raise ParseError(f"non-numeric value {token!r} at line {lineno}", lineno) from None
         if not math.isfinite(value):
             raise ParseError(f"non-finite value {token!r} at line {lineno}", lineno)
-        values.append(value)
-    return values
+        yield value
 
 
 # _NOT_PLAIN[c] is True for each byte c that no line of a plain file holds:
@@ -317,17 +318,6 @@ def _plain_header(open_binary: Callable[[], BinaryIO], column: Optional[str]) ->
     except ParseError:
         raise _NotPlain from None
     return int(is_header)
-
-
-def _count_lines(open_binary: Callable[[], BinaryIO]) -> int:
-    """The lines of the stream, read in blocks of _READ bytes, counting newlines only."""
-    lines, last = 0, b"\n"
-    with open_binary() as fh:
-        for block in iter(partial(fh.read, _READ), b""):
-            lines += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10))
-            last = block[-1:]
-    # a last line without a newline counts too
-    return lines + (last != b"\n")
 
 
 # The plain-decimal reader reads _READ bytes at a time and parses up to
@@ -562,29 +552,11 @@ def _plain_groups(fh: BinaryIO, skiprows: int) -> Iterator[tuple[_LineWorkspace,
             return
 
 
-def _plain_array(open_binary: Callable[[], BinaryIO], skiprows: int) -> np.ndarray:
-    """The values of the lines after `skiprows`, in an array sized by _count_lines."""
-    count = _count_lines(open_binary) - skiprows
-    x = np.empty(count)
-    done = 0
-    with open_binary() as fh:
-        for ws, nl in _plain_groups(fh, skiprows):
-            upto = done + nl.size - 1
-            if upto > count or not _parse_lines(ws, nl, x[done:upto]):
-                raise _NotPlain
-            done = upto
-    if done != count:
-        raise _NotPlain
-    return x
+def _plain_blocks(open_binary: Callable[[], BinaryIO], skiprows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The values of the lines after `skiprows`, in _read's blocks; _NotPlain where not plain.
 
-
-def _plain_moments(open_binary: Callable[[], BinaryIO], skiprows: int) -> _Moments:
-    """The moments of the lines after `skiprows`, merged one block of _CHUNK values at a time.
-
-    The groups of lines are parsed into one buffer, which holds a block and
-    the start of the next; the merge overwrites the block, and ws.spare.
+    A block and the start of the next are parsed into one buffer; ws.spare is scratch.
     """
-    moments = _Moments()
     block = np.empty(_CHUNK + _LINES)
     filled = 0
     with open_binary() as fh:
@@ -594,65 +566,93 @@ def _plain_moments(open_binary: Callable[[], BinaryIO], skiprows: int) -> _Momen
                 raise _NotPlain
             filled = upto
             if filled >= _CHUNK:
-                moments.add(block[:_CHUNK], block[:_CHUNK], ws.spare[:_CHUNK])
+                yield block[:_CHUNK], ws.spare[:_CHUNK]
                 filled -= _CHUNK
                 block[:filled] = block[_CHUNK:_CHUNK + filled]
     if filled:
-        moments.add(block[:filled], block[:filled], ws.spare[:filled])
-    return moments
+        yield block[:filled], ws.spare[:filled]
 
 
-def _read(path: Union[str, Path], column: Optional[str], plain: Callable, scanned: Callable):
-    """plain(open_binary, skiprows) for the file at `path`, or scanned(values).
+def _scanned_blocks(values: Iterator[float]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The values in _read's blocks of _CHUNK values."""
+    scratch = np.empty(_CHUNK)
+    while (block := np.fromiter(islice(values, _CHUNK), dtype=np.float64)).size:
+        yield block, scratch[:block.size]
 
-    open_binary opens the file's bytes afresh on each call.  Where plain
-    raises _NotPlain, at any point, the line scanner reads the file from
-    its start, and scanned gets its values as a float64 array; so it does
-    for every file on a big-endian machine.  A pipe, which can be read only
-    once, is read whole first.
+
+def _read(path: Union[str, Path], column: Optional[str], consume: Callable):
+    """consume(blocks) for the file at `path`.
+
+    blocks yields its values in blocks of _CHUNK (the last may be shorter),
+    each with a scratch row as long; consume may overwrite both.  The line
+    scanner's blocks go to consume on a big-endian machine, and afresh
+    wherever the plain route raises _NotPlain, at any point.  A pipe, which
+    can be read only once, is read whole first, so that the scanner can
+    start again.
     """
     if Path(path).is_file():
         open_binary = partial(open, path, "rb")
     else:
-        # a pipe can be read only once
         open_binary = partial(io.BytesIO, Path(path).read_bytes())
     # _parse_lines takes the bytes as little-endian words
     if sys.byteorder == "little":
         try:
-            return plain(open_binary, _plain_header(open_binary, column))
+            return consume(_plain_blocks(open_binary, _plain_header(open_binary, column)))
         except _NotPlain:
             pass
-    # decoded as open() does: locale encoding, universal newlines
+    # decoded as open() does (locale encoding, universal newlines) as it is
+    # read; each line split again at every break that str.splitlines knows
     try:
         with io.TextIOWrapper(open_binary()) as fh:
-            text = fh.read()
+            try:
+                return consume(_scanned_blocks(_scan((line for t in fh for line in t.splitlines()), column)))
+            except ParseError:
+                while fh.read(_READ):  # a byte that does not decode, anywhere, comes first
+                    pass
+                raise
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid {exc.encoding} text: {exc.reason}") from None
-    del open_binary  # a pipe's bytes
-    return scanned(np.array(_scan(text, column), dtype=np.float64))
+
+
+def _array(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The blocks' values in one array, grown in place by each block."""
+    x = np.empty(0)
+    for block, _ in blocks:
+        n = x.size
+        x.resize(n + block.size, refcheck=False)
+        x[n:] = block
+    return x
+
+
+def _merged(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> _Moments:
+    """The blocks merged into _Moments, each in place with its scratch row."""
+    moments = _Moments()
+    for block, scratch in blocks:
+        moments.add(block, block, scratch)
+    return moments
 
 
 def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.ndarray:
     """Parse one value per line, or the named column of a delimited file.
 
-    Returns the values as a float64 array. A first non-blank line containing
-    any non-numeric token is treated as a header. Blank lines are skipped;
-    any other non-numeric token, and any nan or infinite value, raises
-    ParseError with its line number; bytes that do not decode in the locale
-    encoding raise ParseError too.
+    Returns the values as a float64 array. A byte-order mark (U+FEFF) that
+    starts the file is dropped. A first non-blank line containing any
+    non-numeric token is treated as a header. Blank lines are skipped; any
+    other non-numeric token, and any nan or infinite value, raises ParseError
+    with its line number; bytes that do not decode in the locale encoding
+    raise ParseError too.
 
     A file of one plain decimal a line, after an optional one-token
-    header, is parsed by the plain route (_plain_groups, _parse_lines) into
-    an array sized by a first pass that counts its lines, bit for bit as
-    float() parses each line.  A file in which the plain route meets a
-    blank line, a byte of _NOT_PLAIN (a comma, whitespace, a carriage
-    return, a non-ASCII byte), a token float() rejects, a nan or an
-    infinity goes to the line scanner, which also reports the offending
-    line; so does every file on a big-endian machine.  The scanner decodes
-    the file whole and holds the text, not the bytes.  A pipe, which can be
-    read only once, is read whole first.
+    header, is parsed by the plain route (_plain_groups, _parse_lines), bit
+    for bit as float() parses each line.  A file in which the plain route
+    meets a blank line, a byte of _NOT_PLAIN (a comma, whitespace, a
+    carriage return, a non-ASCII byte), a token float() rejects, a nan or
+    an infinity goes to the line scanner, which also reports the offending
+    line; so does every file on a big-endian machine.  Either route gives
+    blocks of _CHUNK values (see _read), by which the array grows in place;
+    the scanner holds a line and a block at a time.
     """
-    values = _read(path, column, _plain_array, np.asarray)
+    values = _read(path, column, _array)
     if values.size == 0:
         raise EmptyInputError(f"no data values found in {path}")
     return values
@@ -662,14 +662,13 @@ def file_stats(path: Union[str, Path], column: Optional[str] = None) -> SampleSt
     """sample_stats(read_samples(path, column)), bit for bit, without holding the sample.
 
     The file takes read_samples' routes and raises its errors, then
-    sample_stats' errors.  On the plain route no pass counts the lines:
-    each _CHUNK values, counted from the first after a header, are parsed
-    into one buffer and merged into the moments (_Moments), the
-    blocks that sample_stats takes of the array.  A file that the plain
-    route gives up on, after some blocks or none, is read by the line
-    scanner, and its values are merged afresh in the same blocks.
+    sample_stats' errors.  Each block of _CHUNK values that either route
+    gives, counted from the first value, is merged into the moments
+    (_Moments) in place: the blocks that sample_stats takes of the array.  A
+    file that the plain route gives up on, after some blocks or none, is
+    read by the line scanner, and its values are merged afresh.
     """
-    moments = _read(path, column, _plain_moments, _moments)
+    moments = _read(path, column, _merged)
     if moments.count == 0:
         raise EmptyInputError(f"no data values found in {path}")
     return moments.stats()

@@ -178,9 +178,9 @@ def record_scans(monkeypatch):
     """Patch sampling_io._scan to record each call; returns the list of their columns."""
     calls = []
 
-    def scan(text, column):
+    def scan(lines, column):
         calls.append(column)
-        return _scan(text, column)
+        return _scan(lines, column)
 
     monkeypatch.setattr(sampling_io, "_scan", scan)
     return calls
@@ -249,7 +249,7 @@ class TestReadSamples:
         ],
     )
     def test_matches_scanner(self, tmp_path, monkeypatch, text, column, expected, plain):
-        assert _scan(text, column) == expected
+        assert list(_scan(text.splitlines(), column)) == expected
         if plain:
             monkeypatch.setattr(sampling_io, "_scan", None)
         p = tmp_path / "case.txt"
@@ -334,7 +334,7 @@ class TestReadSamples:
                 return exc.line
             return values or "empty"
 
-        expected = outcome(lambda: _scan(text, column))
+        expected = outcome(lambda: list(_scan(text.splitlines(), column)))
         assert outcome(lambda: read_samples(p, column=column)) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -361,7 +361,8 @@ class TestReadSamples:
             x = read_samples(p)
         assert x.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
-    # plain lines past the first block of _count_lines and of _plain_groups, before the line under test
+    # plain lines past the first read of _plain_groups and the first block of
+    # _plain_blocks, before the line under test
     LEAD = "1.0\n" * (max(_CHUNK, sampling_io._READ) // 4 + 10)
 
     @pytest.mark.parametrize(
@@ -394,7 +395,7 @@ class TestReadSamples:
             except ParseError as exc:
                 return exc.line
 
-        assert outcome(lambda: read_samples(p)) == outcome(lambda: _scan(text, None))
+        assert outcome(lambda: read_samples(p)) == outcome(lambda: list(_scan(text.splitlines(), None)))
         assert scans
 
     @pytest.mark.parametrize(
@@ -426,7 +427,8 @@ class TestReadSamples:
             except ParseError as exc:
                 return exc.line, str(exc)
 
-        assert outcome(lambda: read_samples(p, column=column)) == outcome(lambda: _scan(text, column))
+        assert outcome(lambda: read_samples(p, column=column)) == outcome(
+            lambda: list(_scan(text.splitlines(), column)))
         assert scans
 
     @pytest.mark.parametrize(
@@ -443,6 +445,29 @@ class TestReadSamples:
         p.write_bytes((blank + rest).encode())
         assert len(blank) > _CHUNK
         assert read_samples(p, column=column).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "text, column, expected",
+        [("\ufeff1.0\n2.0\n3.0\n", None, [1.0, 2.0, 3.0]),
+         ("\ufeffvalue\n1.5\n2.5\n", "value", [1.5, 2.5])],
+        ids=["value", "header"],
+    )
+    def test_byte_order_mark_dropped(self, tmp_path, text, column, expected):
+        # a UTF-8 byte-order mark neither makes line 1 a header nor renames its column
+        p = tmp_path / "bom.txt"
+        p.write_bytes(text.encode())
+        assert read_samples(p, column=column).tolist() == expected
+        assert file_stats(p, column=column).count == len(expected)
+
+    def test_undecodable_byte_after_parse_error(self, tmp_path):
+        # the scanner decodes as it reads, but a byte that does not decode
+        # is still reported before an earlier line's ParseError
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"1.0\nabc\n" + b"2.0\n" * 10000 + b"\xff\n")
+        for read in (read_samples, file_stats):
+            with pytest.raises(ParseError, match="is not valid") as exc:
+                read(p)
+            assert exc.value.line is None
 
     def test_parse_error_with_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -803,19 +828,22 @@ class TestPeakMemory:
         assert code == 0 and f"wrote {n} samples" in capsys.readouterr().out
         assert peak <= bound
 
+    def crlf(self, tmp_path, count):
+        """A sample file of `count` values with CRLF line ends, which go to _scan."""
+        p = tmp_path / f"crlf{count}.txt"
+        write_samples(p, sample(config(count=count)))
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        return p
+
     def test_read_samples_scanner(self, tmp_path):
-        # a CRLF file goes to _scan, which holds the text, its lines and a
-        # float per line; the file's bytes (5.8 MB) are dropped once decoded
-        p = tmp_path / "crlf.txt"
-        write_samples(p, sample(config(count=self.N)))
-        data = p.read_bytes().replace(b"\n", b"\r\n")
-        p.write_bytes(data)
-        text = data.decode("ascii").replace("\r\n", "\n")
-        del data
-        held = sys.getsizeof(text)
-        for seq in (text.splitlines(), _scan(text, None)):
-            held += sys.getsizeof(seq) + sum(map(sys.getsizeof, seq))
-        del text
-        x, peak = traced_peak(read_samples, p)
+        # _scan holds one line and one block of values at a time
+        read_samples(self.crlf(tmp_path, 10))
+        x, peak = traced_peak(read_samples, self.crlf(tmp_path, self.N))
         assert x.size == self.N
-        assert peak <= held + self.SCRATCH
+        assert peak <= x.nbytes + self.SCRATCH
+
+    def test_file_stats_scanner(self, tmp_path):
+        file_stats(self.crlf(tmp_path, 10))
+        stats, peak = traced_peak(file_stats, self.crlf(tmp_path, self.N))
+        assert stats.count == self.N
+        assert peak <= self.SCRATCH
