@@ -21,7 +21,6 @@ its count and seed in __new__, as frechet.FrechetParams checks its fields.
 import io
 import math
 import sys
-from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -261,10 +260,10 @@ def _layout(tokens: list[str], column: Optional[str], lineno: int) -> tuple[int,
     return header.index(column), True
 
 
-def _scan(lines: Iterable[str], column: Optional[str]) -> Iterator[float]:
+def _scan(lines: Iterable[str], column: Optional[str], start: int = 1) -> Iterator[float]:
     """Line-by-line reader, yielding each value; it defines the format and gives ParseError its line number."""
-    col_index = None
-    for lineno, line in enumerate(lines, start=1):
+    col_index = None if start == 1 else 0  # past line 1, the plain route's: no header to come
+    for lineno, line in enumerate(lines, start=start):
         if lineno == 1:
             line = line.removeprefix("\ufeff")  # a byte-order mark
         tokens = _split(line)
@@ -295,20 +294,18 @@ _NOT_PLAIN[0x80:] = True
 
 
 class _NotPlain(Exception):
-    """The plain route gives up on a stream, which the line scanner then reads."""
+    """The plain route gives up on a stream; the line scanner reads on from the first line it has not taken."""
 
 
-def _plain_header(open_binary: Callable[[], BinaryIO], column: Optional[str]) -> int:
-    """1 if line 1 of the stream is a header and 0 if a value, for the plain route.
+def _plain_header(first: bytes, column: Optional[str]) -> bool:
+    """Whether `first`, line 1 of the stream, is a header rather than a value, for the plain route.
 
-    `open_binary` opens the bytes afresh on each call.  Line 1 must be one
-    token with no byte of _NOT_PLAIN, or _NotPlain is raised; so it is
-    where _layout raises on that token, as _scan then does (or meets an
-    error first).  _parse_lines checks every line after a header.
+    Line 1 must be one token with no byte of _NOT_PLAIN, in fewer bytes
+    than a read, or _NotPlain is raised; so it is where _layout raises on
+    that token, as _scan then does (or meets an error first).
+    _parse_lines checks every line after a header.
     """
-    with open_binary() as fh:
-        first = fh.readline()
-    if _NOT_PLAIN[np.frombuffer(first, dtype=np.uint8)].any():
+    if len(first) >= _READ or _NOT_PLAIN[np.frombuffer(first, dtype=np.uint8)].any():
         raise _NotPlain
     tokens = _split(first.decode("ascii"))
     if len(tokens) != 1:
@@ -317,7 +314,7 @@ def _plain_header(open_binary: Callable[[], BinaryIO], column: Optional[str]) ->
         _, is_header = _layout(tokens, column, 1)
     except ParseError:
         raise _NotPlain from None
-    return int(is_header)
+    return is_header
 
 
 # The plain-decimal reader reads _READ bytes at a time and parses up to
@@ -354,8 +351,8 @@ class _LineWorkspace:
         self.b = np.empty(4 * _LINES, dtype=bool)
 
 
-def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
-    """The value of each line of ws.raw between consecutive newlines at nl, into out.
+def _parse_lines(ws: _LineWorkspace, prev: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
+    """The value of each line of ws.raw, from the newline at prev to the one at ends, into out.
 
     A plain line is -?digits[.digits][e(+|-)dd] with a significand of at
     most 24 bytes, digits N < 4.61e18, and k in [0, 22] for k = (digits
@@ -368,13 +365,12 @@ def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
     other line, and every line at a tie or within rounding of one, goes to
     float().  Returns False where a line holds a byte of _NOT_PLAIN, or
     where float() fails on a line (a blank one too) or gives a nan or an
-    infinity.
+    infinity.  Only blank lines may lie between the lines given.
     """
     raw = ws.raw
-    prev, ends = nl[:-1], nl[1:]
     n = ends.size
-    lo = int(nl[0]) + 1
-    text = raw[lo:int(nl[-1])]
+    lo = int(prev[0]) + 1
+    text = raw[lo:int(ends[-1])]
     t, flags = ws.t[:text.size], ws.flags[:text.size]
     size, frac, stop, power, i0, i1 = ws.i[:6 * n].reshape(6, n)
     bad, neg, dotted, flag = ws.b[:4 * n].reshape(4, n)
@@ -515,18 +511,16 @@ def _parse_lines(ws: _LineWorkspace, nl: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def _plain_groups(fh: BinaryIO, skiprows: int) -> Iterator[tuple[_LineWorkspace, np.ndarray]]:
-    """The lines of fh after the first `skiprows`, in groups for _parse_lines.
+def _plain_groups(fh: BinaryIO, ws: _LineWorkspace, held: int) -> Iterator[np.ndarray]:
+    """The lines of ws.raw[32:32 + held] and then of fh, in groups for _parse_lines.
 
-    Yields (ws, nl) for each group: nl holds the positions in ws.raw of the
-    newlines around its lines, at most _LINES of them.  The stream is read
-    _READ bytes at a time into one _LineWorkspace; the line that a read
-    cuts is moved to the front for the next.  A line longer than a read
-    raises _NotPlain.
+    Yields nl for each group: the positions in ws.raw of the newlines around
+    its lines, at most _LINES of them, so that each group starts where the
+    last one ended.  The stream is read _READ bytes at a time; the line that
+    a read cuts is moved to the front for the next.  A line longer than a
+    read raises _NotPlain.
     """
-    ws = _LineWorkspace()
     raw = ws.raw
-    held = 0
     while True:
         got = fh.readinto(raw[32 + held:32 + _READ])
         end = 32 + held + got
@@ -538,11 +532,8 @@ def _plain_groups(fh: BinaryIO, skiprows: int) -> Iterator[tuple[_LineWorkspace,
         # the newlines, from the one at raw[31]
         nl = np.flatnonzero(np.equal(raw[31:end], ord("\n"), out=ws.flags[:end - 31]))
         nl += 31
-        skip = min(skiprows, nl.size - 1)
-        skiprows -= skip
-        nl = nl[skip:]
         for start in range(0, nl.size - 1, _LINES):
-            yield ws, nl[start:start + _LINES + 1]
+            yield nl[start:start + _LINES + 1]
         last = int(nl[-1]) + 1
         held = end - last
         if held == _READ:
@@ -552,64 +543,74 @@ def _plain_groups(fh: BinaryIO, skiprows: int) -> Iterator[tuple[_LineWorkspace,
             return
 
 
-def _plain_blocks(open_binary: Callable[[], BinaryIO], skiprows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The values of the lines after `skiprows`, in _read's blocks; _NotPlain where not plain.
+def _file_blocks(fh: BinaryIO, column: Optional[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The values of the stream fh in _read's blocks, each with a scratch row as long.
 
-    A block and the start of the next are parsed into one buffer; ws.spare is scratch.
+    The plain route parses groups of lines into one buffer that holds a
+    block and the start of the next; a group turned back is parsed again
+    without its blank lines, which _scan skips too.  Where the plain route
+    gives up (_NotPlain, or a group turned back twice), _scan goes on into
+    the buffer from the first line it has not taken.
     """
-    block = np.empty(_CHUNK + _LINES)
-    filled = 0
-    with open_binary() as fh:
-        for ws, nl in _plain_groups(fh, skiprows):
-            upto = filled + nl.size - 1
-            if not _parse_lines(ws, nl, block[filled:upto]):
-                raise _NotPlain
-            filled = upto
-            if filled >= _CHUNK:
-                yield block[:_CHUNK], ws.spare[:_CHUNK]
-                filled -= _CHUNK
-                block[:filled] = block[_CHUNK:_CHUNK + filled]
+    block, scratch = np.empty(_CHUNK + _LINES), None
+    filled = at = 0  # the values in block; the offset of the first line not taken
+    lineno, scan = 1, True  # that line's number; whether _scan reads on from there
+    try:
+        if sys.byteorder == "little":  # _parse_lines takes the bytes as little-endian words
+            first = fh.readline(_READ)
+            if _plain_header(first, column):
+                at, lineno, first = len(first), 2, b""
+            ws = _LineWorkspace()
+            scratch = ws.spare
+            ws.raw[32:32 + len(first)] = np.frombuffer(first, dtype=np.uint8)
+            for nl in _plain_groups(fh, ws, len(first)):
+                prev, ends = nl[:-1], nl[1:]
+                if not _parse_lines(ws, prev, ends, block[filled:filled + ends.size]):
+                    kept = ends - prev > 1  # the lines that are not blank
+                    prev, ends = prev[kept], ends[kept]
+                    if ends.size and not _parse_lines(ws, prev, ends, block[filled:filled + ends.size]):
+                        raise _NotPlain
+                filled += ends.size
+                at += int(nl[-1] - nl[0])
+                lineno += nl.size - 1
+                if filled >= _CHUNK:
+                    yield block[:_CHUNK], scratch[:_CHUNK]
+                    filled -= _CHUNK
+                    block[:filled] = block[_CHUNK:_CHUNK + filled]
+            scan = False
+    except _NotPlain:
+        pass
+    if scan:
+        scratch = np.empty(_CHUNK) if scratch is None else scratch  # where no workspace was made
+        fh.seek(at)
+        # decoded as open() does (locale encoding, universal newlines) as it
+        # is read; each line split again at every break that str.splitlines knows
+        with io.TextIOWrapper(fh) as text:
+            values = _scan((line for t in text for line in t.splitlines()), column, lineno)
+            try:
+                while (got := np.fromiter(islice(values, _CHUNK - filled), dtype=np.float64)).size:
+                    block[filled:filled + got.size] = got
+                    filled += got.size
+                    if filled == _CHUNK:
+                        yield block[:_CHUNK], scratch[:_CHUNK]
+                        filled = 0
+            except ParseError:
+                while text.read(_READ):  # a byte that does not decode, anywhere, comes first
+                    pass
+                raise
     if filled:
-        yield block[:filled], ws.spare[:filled]
-
-
-def _scanned_blocks(values: Iterator[float]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The values in _read's blocks of _CHUNK values."""
-    scratch = np.empty(_CHUNK)
-    while (block := np.fromiter(islice(values, _CHUNK), dtype=np.float64)).size:
-        yield block, scratch[:block.size]
+        yield block[:filled], scratch[:filled]
 
 
 def _read(path: Union[str, Path], column: Optional[str], consume: Callable):
-    """consume(blocks) for the file at `path`.
+    """consume(blocks) for the file at `path`, read once: blocks of _CHUNK values (the last may be shorter).
 
-    blocks yields its values in blocks of _CHUNK (the last may be shorter),
-    each with a scratch row as long; consume may overwrite both.  The line
-    scanner's blocks go to consume on a big-endian machine, and afresh
-    wherever the plain route raises _NotPlain, at any point.  A pipe, which
-    can be read only once, is read whole first, so that the scanner can
-    start again.
+    consume may overwrite each block and its scratch row.  A pipe is read
+    whole first, so that the plain route can hand over to _scan by a seek.
     """
-    if Path(path).is_file():
-        open_binary = partial(open, path, "rb")
-    else:
-        open_binary = partial(io.BytesIO, Path(path).read_bytes())
-    # _parse_lines takes the bytes as little-endian words
-    if sys.byteorder == "little":
-        try:
-            return consume(_plain_blocks(open_binary, _plain_header(open_binary, column)))
-        except _NotPlain:
-            pass
-    # decoded as open() does (locale encoding, universal newlines) as it is
-    # read; each line split again at every break that str.splitlines knows
     try:
-        with io.TextIOWrapper(open_binary()) as fh:
-            try:
-                return consume(_scanned_blocks(_scan((line for t in fh for line in t.splitlines()), column)))
-            except ParseError:
-                while fh.read(_READ):  # a byte that does not decode, anywhere, comes first
-                    pass
-                raise
+        with open(path, "rb") if Path(path).is_file() else io.BytesIO(Path(path).read_bytes()) as fh:
+            return consume(_file_blocks(fh, column))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid {exc.encoding} text: {exc.reason}") from None
 
@@ -642,15 +643,15 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     with its line number; bytes that do not decode in the locale encoding
     raise ParseError too.
 
-    A file of one plain decimal a line, after an optional one-token
-    header, is parsed by the plain route (_plain_groups, _parse_lines), bit
-    for bit as float() parses each line.  A file in which the plain route
-    meets a blank line, a byte of _NOT_PLAIN (a comma, whitespace, a
-    carriage return, a non-ASCII byte), a token float() rejects, a nan or
-    an infinity goes to the line scanner, which also reports the offending
-    line; so does every file on a big-endian machine.  Either route gives
-    blocks of _CHUNK values (see _read), by which the array grows in place;
-    the scanner holds a line and a block at a time.
+    Lines of one plain decimal each, blank lines among them, after an
+    optional one-token header, are parsed by the plain route (_plain_groups,
+    _parse_lines), bit for bit as float() parses each line.  From the first
+    group of lines in which the plain route meets a byte of _NOT_PLAIN (a
+    comma, whitespace, a carriage return, a non-ASCII byte), a token float()
+    rejects, a nan or an infinity, the line scanner reads on, and reports
+    the offending line; it reads every file on a big-endian machine.  Both
+    routes fill blocks of _CHUNK values (see _file_blocks), by which the
+    array grows in place; the scanner holds a line and a block at a time.
     """
     values = _read(path, column, _array)
     if values.size == 0:
@@ -664,9 +665,8 @@ def file_stats(path: Union[str, Path], column: Optional[str] = None) -> SampleSt
     The file takes read_samples' routes and raises its errors, then
     sample_stats' errors.  Each block of _CHUNK values that either route
     gives, counted from the first value, is merged into the moments
-    (_Moments) in place: the blocks that sample_stats takes of the array.  A
-    file that the plain route gives up on, after some blocks or none, is
-    read by the line scanner, and its values are merged afresh.
+    (_Moments) in place: the blocks that sample_stats takes of the array,
+    whichever route read their values.
     """
     moments = _read(path, column, _merged)
     if moments.count == 0:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -175,12 +176,12 @@ BELOW_POW2 = ["0.99999999999999994", "1.9999999999999998", "0.49999999999999997"
 
 
 def record_scans(monkeypatch):
-    """Patch sampling_io._scan to record each call; returns the list of their columns."""
+    """Patch sampling_io._scan to record each call; returns the list of their start lines."""
     calls = []
 
-    def scan(lines, column):
-        calls.append(column)
-        return _scan(lines, column)
+    def scan(lines, column, start):
+        calls.append(start)
+        return _scan(lines, column, start)
 
     monkeypatch.setattr(sampling_io, "_scan", scan)
     return calls
@@ -233,6 +234,9 @@ class TestReadSamples:
             ("1.0\x0b2.0\n", None, [1.0, 2.0], False),
             ("t value\n0 1.5\n1,2.5\n", "value", [1.5, 2.5], False),
             ("1_000\n", None, [1000.0], False),
+            # the scanner takes over past line 1 with the header already read
+            pytest.param("value\n" + "1.25\n" * (sampling_io._READ // 5) + "2.5,\n", "value",
+                         [1.25] * (sampling_io._READ // 5) + [2.5], False, id="late-comma-after-header"),
             # the plain-decimal reader, not the scanner
             *(pytest.param(text, column, [float(t) for t in expected], True, id=name)
               for name, text, column, expected in [
@@ -264,20 +268,34 @@ class TestReadSamples:
             ("1.0\n\n2.0\n", None, [1.0, 2.0], False),
             ("t,value\n0,1.5\n", "value", [1.5], False),
             ("value\n1.0\n2.0\n", None, [1.0, 2.0], True),
+            # the plain route hands over to the scanner past its first read
+            pytest.param("1.25\n" * (sampling_io._READ // 5 + 10) + "2.5\r\n3.0\n", None,
+                         [1.25] * (sampling_io._READ // 5 + 10) + [2.5, 3.0], False, id="late-crlf"),
         ],
     )
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_reads_pipe(self, monkeypatch, text, column, expected, plain):
-        # a pipe can be read only once, so both paths must parse the bytes read
+    def test_reads_pipe(self, tmp_path, monkeypatch, text, column, expected, plain):
+        # a pipe can be read only once, so both routes must parse the bytes read
+        p = tmp_path / "case.txt"
+        p.write_bytes(text.encode())
+        assert read_samples(p, column=column).tolist() == expected
         if plain:
             monkeypatch.setattr(sampling_io, "_scan", None)
         r, w = os.pipe()
+
+        def write():  # a pipe holds less than the longest text
+            with open(w, "wb") as fh:
+                fh.write(text.encode())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
         try:
-            os.write(w, text.encode())
-            os.close(w)
-            assert read_samples(f"/dev/fd/{r}", column=column).tolist() == expected
+            values = read_samples(f"/dev/fd/{r}", column=column).tolist()
         finally:
+            writer.join(timeout=60)
             os.close(r)
+        assert not writer.is_alive()
+        assert values == expected
 
     @pytest.mark.parametrize(
         "text, line",
@@ -396,7 +414,10 @@ class TestReadSamples:
                 return exc.line
 
         assert outcome(lambda: read_samples(p)) == outcome(lambda: list(_scan(text.splitlines(), None)))
-        assert scans
+        # a blank line stays on the plain route; any other late line sends the
+        # scanner in at the first line of its group of lines, past the plain
+        # ones that the first read held
+        assert scans == ([] if late == "\n" else [sampling_io._READ // 4 + 1])
 
     @pytest.mark.parametrize(
         "header, column",
@@ -429,7 +450,7 @@ class TestReadSamples:
 
         assert outcome(lambda: read_samples(p, column=column)) == outcome(
             lambda: list(_scan(text.splitlines(), column)))
-        assert scans
+        assert scans == [1]
 
     @pytest.mark.parametrize(
         "blank, rest, column, expected",
@@ -529,7 +550,11 @@ class TestFileStats:
         p.write_bytes(p.read_bytes() + late.encode() + b"3.0\n")
         scans = record_scans(monkeypatch)
         self.assert_same(p)
-        assert len(scans) == 2
+        if late == "\n":  # the plain route skips a blank line
+            assert scans == []
+            assert read_samples(p).tobytes() == np.append(x, 3.0).tobytes()
+        else:  # the scanner goes on from the first line of the late line's group
+            assert len(scans) == 2 and x.size + 1 - sampling_io._LINES < scans[0] <= x.size + 1
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_reads_pipe(self):
