@@ -265,18 +265,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
     p = sub.add_parser("moments", help="raw/centered/normalized moments for a shape")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--alpha", type=float, required=True, help="shape parameter alpha > 0")
+    p.add_argument("--max-order", type=int, default=4,
+                   help="report orders 1 to this one, at least 2 (default %(default)s)")
     add_format(p)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("estimate", help="infer alpha from a variance or a sample file")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--variance", type=float)
+    src.add_argument("--variance", type=float,
+                     help="variance v to invert: v = Gamma(1 - 2/alpha) - Gamma(1 - 1/alpha)^2")
     src.add_argument("--input", type=str, help="sample file (one value per line)")
     p.add_argument("--column", type=str, default=None, help="column name if the file has a header")
-    p.add_argument("--method", choices=["order1", "order2", "exact", "all"], default="all")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--method", choices=["order1", "order2", "exact", "all"], default="all",
+                   help="order1: pi / sqrt(6 v); order2: the root of the order-2 cubic in 1/alpha; "
+                        "exact: the root of ln V(alpha) = ln v; all: the three (default)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="bound on the relative residual |ln V(alpha) - ln v|; only the exact "
+                        "method reads it (default %(default)s)")
     add_format(p)
     p.set_defaults(func=_cmd_estimate)
 

@@ -56,6 +56,9 @@ __all__ = [
 
 _ALPHA_MIN = 2.0 + 1e-9
 _ALPHA_MAX = 1e9
+# the search ranges of the two solves: t = ln alpha in alpha_exact, u = 1/alpha in the fit
+_T_MIN, _T_MAX = math.log(_ALPHA_MIN), math.log(_ALPHA_MAX)
+_U_MIN, _U_MAX = 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9)
 # skewness ~ Gamma(1 - 3u) / V(1/3)^1.5 ~ 1 / ((1 - 3u) V(1/3)^1.5) as u -> 1/3
 _POLE_SKEWNESS_SCALE = _centered(3.0, 2) ** 1.5
 
@@ -204,6 +207,11 @@ def _root(f, x0: float, far, lo: float, hi: float, ftol: float, max_iter: int):
     raise NoConvergenceError(f"root finder did not converge in {max_iter} iterations")
 
 
+def _past_log_variance_root(t: float, ft: float) -> float:
+    """A point past the root of f(t) = ln V(e^t) - ln v, as d ln V / d ln alpha <= -2."""
+    return t + 0.5 * ft
+
+
 def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateResult:
     """Solve Gamma(1-2/alpha) - Gamma(1-1/alpha)^2 = v for alpha.
 
@@ -238,8 +246,7 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     else:
         alpha_0 = 1.0 / u_0
     t_0 = math.log(alpha_0)
-    root = _root(f, t_0, lambda t, ft: t + 0.5 * ft, math.log(_ALPHA_MIN), math.log(_ALPHA_MAX),
-                 tol, max_iter)
+    root = _root(f, t_0, _past_log_variance_root, _T_MIN, _T_MAX, tol, max_iter)
     if root is None:
         raise NoConvergenceError(f"no alpha in [{_ALPHA_MIN}, {_ALPHA_MAX:g}] matches variance {v}")
     t, log_ratio, evaluations = root
@@ -279,7 +286,7 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     target = 1.0 / s
     f = lambda u: 1.0 / _normalized(1.0 / u, 3) - target
     s_inf, table = _skewness_reversion()
-    lo, hi = 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9)
+    lo, hi = _U_MIN, _U_MAX
     ftol = 8.0 * math.ulp(target)
     u0 = _sum_reversion(table, s - s_inf)
     if u0 is None:  # the pole term, an upper bound on the root below alpha ~ 14.7

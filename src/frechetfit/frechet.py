@@ -207,6 +207,13 @@ def _series(k: int) -> tuple:
     return tuple(reversed(total[k:]))
 
 
+@functools.lru_cache(maxsize=None)
+def _tails(k: int) -> tuple:
+    """Suffix table of _series(k): its tail c[m:] for every start m, so a sum reads its terms uncopied."""
+    c = _series(k)
+    return tuple(c[m:] for m in range(len(c)))
+
+
 def _omega(alpha: float, p: int) -> float:
     """Omega_p = Gamma(1 - p/alpha) for p < alpha, unchecked; (alpha - p) / alpha is exact next to the pole."""
     return gamma((alpha - p) / alpha)
@@ -217,9 +224,10 @@ def _scaled(alpha: float, k: int) -> tuple:
 
     S_k = mu_k / (Omega_1 / alpha)^k, the centered moment of order k over
     (Omega_1 u)^k with u = 1/alpha.  For alpha >= 2k it is the series _series(k)
-    in u, summed over only the terms u needs (k u <= 1/2, so at most 56), with
-    bound 0.  Below that, where the series converges slowly or not at all, and
-    above order _MAX_SERIES_ORDER, it is the binomial sum
+    in u, summed over only the terms u needs (k u <= 1/2, so at most 56), read
+    in place from the suffix table _tails(k), with bound 0.  Below that, where
+    the series converges slowly or not at all, and above order
+    _MAX_SERIES_ORDER, it is the binomial sum
     mu_k = sum_p C(k,p) (-Omega_1)^(k-p) Omega_p, whose k + 1 alternating terms
     round to about eps (k + 1) sum|term|; where that bound exceeds _MAX_ROUNDING
     of |mu_k| it raises PrecisionLossError.
@@ -227,7 +235,7 @@ def _scaled(alpha: float, k: int) -> tuple:
     if alpha >= 2 * k and k <= _MAX_SERIES_ORDER:
         u = 1.0 / alpha
         s = 0.0
-        for c in _series(k)[_TERMS - 2 - int(37.5 / -math.log(k * u)):]:
+        for c in _tails(k)[_TERMS - 2 - int(37.5 / -math.log(k * u))]:
             s = s * u + c
         return s, 0.0
     omega1 = _omega(alpha, 1)
@@ -407,17 +415,18 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
     every digit (PrecisionLossError).  Both come from one S_k evaluation, with
     the same values as centered_moment and normalized_centered_moment.
     """
-    defined = k < d.alpha
-    raw = _omega(d.alpha, k) if defined else None
+    alpha = d.alpha
+    defined = k < alpha
+    raw = _omega(alpha, k) if defined else None
     centered = normalized = None
     if defined and k >= 2:
         try:
-            s_k = _scaled(d.alpha, k)[0]
+            s_k = _scaled(alpha, k)[0]
         except PrecisionLossError:
             pass
         else:
-            u = 1.0 / d.alpha
+            u = 1.0 / alpha
             centered = math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
             # s_k / s_k ** 1.0 is exactly 1.0 at k = 2
-            normalized = s_k / (s_k if k == 2 else _scaled(d.alpha, 2)[0]) ** (k / 2.0)
+            normalized = s_k / (s_k if k == 2 else _scaled(alpha, 2)[0]) ** (k / 2.0)
     return MomentReport(k, raw, centered, normalized, defined)

@@ -470,12 +470,14 @@ def test_sample_overflow_stderr_is_one_error_line(tmp_path):
 
 
 def test_cli_import_builds_no_moment_series():
-    # the series coefficients are built on first use, so start-up pays nothing
+    # the series coefficients and their suffix tables are built on first use,
+    # so start-up pays nothing
     env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
-    code = "import frechetfit.cli, frechetfit.frechet as f; print(f._series.cache_info().currsize)"
+    code = ("import frechetfit.cli, frechetfit.frechet as f; "
+            "print(f._series.cache_info().currsize, f._tails.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout == "0\n"
+    assert out.stdout == "0 0\n"
 
 
 def test_imports_load_no_dataclass_machinery():

@@ -389,6 +389,23 @@ class TestSeriesKernel:
         for c in frechet._series(k):
             s = s * (0.5 / k) + c
         assert frechet._scaled(2.0 * k, k) == (s, 0.0)
+        # and every shorter sum reads the same tail as slicing the table: the
+        # term count int(37.5 / -ln(k u)) + 2 steps down from n + 2 to n + 1 at
+        # k u = e^(-37.5/n), so alphas on both sides of each step take every
+        # count from the whole table down to 2
+        table = frechet._series(k)
+        counts = set()
+        for n in range(54, 0, -1):
+            step = k * math.exp(37.5 / n)
+            for alpha in (step * (1.0 - 1e-9), step * (1.0 + 1e-9)):
+                u = 1.0 / alpha
+                start = frechet._TERMS - 2 - int(37.5 / -math.log(k * u))
+                s = 0.0
+                for c in table[start:]:
+                    s = s * u + c
+                assert frechet._scaled(alpha, k) == (s, 0.0), alpha
+                counts.add(len(table) - start)
+        assert counts == set(range(2, len(table) + 1))
 
     def test_skewness_and_kurtosis_are_the_normalized_moments(self):
         # bit for bit, on the 400-point grid of the benchmark and a few more
