@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 a failed `check` diagnostic, 2 usage error
 (argparse), 3 domain or estimation error, 4 I/O or input-parsing error.
 `--format json` output carries a schema_version field; non-finite values are
 encoded as the strings "inf" / "-inf" / "nan" and undefined moments as null.
+In `--format csv` output each title and summary line starts with "# ", so
+every other non-blank line is a header or a row of CSV.
 """
 
 import argparse
@@ -56,6 +58,11 @@ def _fmt(x, digits: int = 10) -> str:
     return format(x, f".{digits}g")
 
 
+def _note(text: str, fmt: str) -> None:
+    """Print a line that is not a table row; in csv, as a "# " comment."""
+    print(f"# {text}" if fmt == "csv" else text)
+
+
 def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, payload) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -105,8 +112,8 @@ def _cmd_moments(args) -> int:
     }
     _emit_rows(["order", "raw", "centered", "normalized"], rows, args.format, payload)
     if args.format != "json":
-        print(f"skewness         {_fmt(skew)}")
-        print(f"excess kurtosis  {_fmt(kurt)}")
+        _note(f"skewness         {_fmt(skew)}", args.format)
+        _note(f"excess kurtosis  {_fmt(kurt)}", args.format)
     return 0
 
 
@@ -148,7 +155,7 @@ def _cmd_estimate(args) -> int:
         ],
     }
     if args.format != "json" and sample_info is not None:
-        print(f"sample count {stats.count}, mean {_fmt(stats.mean)}, variance {_fmt(v)}")
+        _note(f"sample count {stats.count}, mean {_fmt(stats.mean)}, variance {_fmt(v)}", args.format)
     _emit_rows(["method", "alpha", "residual", "iterations"], rows, args.format, payload)
     return 0
 
@@ -172,13 +179,14 @@ def _cmd_sample(args) -> int:
             payload[key] = None if stats is None else _json_value(getattr(stats, key))
         print(json.dumps(payload, indent=2))
     elif stats is not None:
-        print(
+        _note(
             f"wrote {args.count} samples to {args.output}: "
             f"mean {_fmt(stats.mean)}, variance {_fmt(stats.variance)}, "
-            f"skewness {_fmt(stats.skewness)}, excess kurtosis {_fmt(stats.excess_kurtosis)}"
+            f"skewness {_fmt(stats.skewness)}, excess kurtosis {_fmt(stats.excess_kurtosis)}",
+            args.format,
         )
     else:
-        print(f"wrote {args.count} sample to {args.output}")
+        _note(f"wrote {args.count} sample to {args.output}", args.format)
     return 0
 
 
@@ -276,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--variance", type=float,
                      help="variance v to invert: v = Gamma(1 - 2/alpha) - Gamma(1 - 1/alpha)^2")
     src.add_argument("--input", type=str, help="sample file (one value per line)")
-    p.add_argument("--column", type=str, default=None, help="column name if the file has a header")
+    p.add_argument("--column", type=str, default=None,
+                   help="column name if the file has a header; needs --input")
     p.add_argument("--method", choices=["order1", "order2", "exact", "all"], default="all",
                    help="order1: pi / sqrt(6 v); order2: the root of the order-2 cubic in 1/alpha; "
                         "exact: the root of ln V(alpha) = ln v; all: the three (default)")
@@ -311,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "column", None) is not None and args.input is None:
+        parser.error("estimate: --column needs --input")
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

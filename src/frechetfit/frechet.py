@@ -10,20 +10,27 @@ answer (high orders at large alpha) it raises PrecisionLossError.  The
 variance and skewness series, reverted to u as power series in sqrt(V) and in
 skewness - s_inf, seed the inverse solves in estimation.  Public functions
 check their arguments once, then call the unchecked kernels (_omega, _scaled,
-_centered, _normalized), not one another.
+_centered, _normalized), not one another.  The kernels call math.gamma and
+math.lgamma directly, not the checked wrappers of special_functions: every
+argument they pass, (alpha - p)/alpha with 1 <= p < alpha for Gamma and
+1 - 1/alpha with alpha > 2 for ln Gamma, lies in (0, 1], where the wrappers
+return exactly these values.
 
 The records are typing.NamedTuples, which need neither dataclasses nor
 inspect at import; FrechetShape and FrechetParams check their fields in
-__new__ and raise DomainError.
+__new__ and raise DomainError.  moment_report builds its MomentReport with
+tuple.__new__, as those two do, not through the Python-level __new__ that
+NamedTuple generates.
 """
 
 import functools
 import math
 import sys
+from math import gamma, lgamma as log_gamma
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, PrecisionLossError, UndefinedMomentError
-from .special_functions import CONSTANTS, ZETA, gamma, log_gamma
+from .special_functions import CONSTANTS, ZETA
 
 __all__ = [
     "FrechetShape",
@@ -345,7 +352,7 @@ def _skewness_reversion() -> tuple:
 
 def raw_moment(d: FrechetShape, k: int) -> float:
     """k-th raw moment Omega_k = Gamma(1 - k/alpha); requires k < alpha."""
-    if k < 1:
+    if not k >= 1:  # a nan order too: math.gamma(nan) would return nan
         raise DomainError(f"moment order must be >= 1, got {k!r}")
     if k >= d.alpha:
         raise UndefinedMomentError(
@@ -409,12 +416,16 @@ def excess_kurtosis(d: FrechetShape) -> float:
 
 
 def moment_report(d: FrechetShape, k: int) -> MomentReport:
-    """Build the raw/centered/normalized report for one order, never raising.
+    """Build the raw/centered/normalized report for one order k >= 1.
 
-    `centered` and `normalized` are None as well where the binomial sum loses
-    every digit (PrecisionLossError).  Both come from one S_k evaluation, with
-    the same values as centered_moment and normalized_centered_moment.
+    A k below 1 raises DomainError; past that check it never raises: an
+    undefined moment is None, and `centered` and `normalized` are None as
+    well where the binomial sum loses every digit (PrecisionLossError).  Both come from one
+    S_k evaluation, with the same values as centered_moment and
+    normalized_centered_moment.
     """
+    if not k >= 1:
+        raise DomainError(f"moment order must be >= 1, got {k!r}")
     alpha = d.alpha
     defined = k < alpha
     raw = _omega(alpha, k) if defined else None
@@ -429,4 +440,4 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
             centered = math.exp(k * log_gamma(1.0 - u)) * u**k * s_k
             # s_k / s_k ** 1.0 is exactly 1.0 at k = 2
             normalized = s_k / (s_k if k == 2 else _scaled(alpha, 2)[0]) ** (k / 2.0)
-    return MomentReport(k, raw, centered, normalized, defined)
+    return tuple.__new__(MomentReport, (k, raw, centered, normalized, defined))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -49,6 +50,12 @@ class TestExitStatusContract:
             main(["estimate", "--variance", "0.1", "--input", "x.txt"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_column_without_input_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--variance", "0.1", "--column", "value"])
+        assert exc.value.code == 2
+        assert "--column needs --input" in capsys.readouterr().err
 
     def test_domain_error_is_3(self, capsys):
         code, _, err = run(capsys, "estimate", "--variance", "-1")
@@ -337,6 +344,40 @@ class TestSample:
         assert out == (f"wrote 1000 samples to {f}: mean {stats.mean:.10g}, "
                        f"variance {stats.variance:.10g}, skewness {stats.skewness:.10g}, "
                        f"excess kurtosis {stats.excess_kurtosis:.10g}\n")
+
+
+class TestCsvFormat:
+    # each command, and the "# " lines it prints in csv before or after its rows
+    @pytest.mark.parametrize("command, comments", [
+        ("moments", ["# skewness ", "# excess kurtosis "]),
+        ("estimate", ["# sample count 1000, "]),
+        ("sample", ["# wrote 1000 samples to "]),
+        ("tables", ["# order-1 estimate", "# order-2 (cardano) estimate"]),
+    ])
+    def test_every_other_line_parses_to_the_header_width(self, capsys, tmp_path, command, comments):
+        f = tmp_path / "s.txt"
+        argv = {
+            "moments": ["moments", "--alpha", "5", "--max-order", "6"],
+            "estimate": ["estimate", "--input", str(f)],
+            "sample": ["sample", "--alpha", "5", "--count", "1000", "-o", str(f)],
+            "tables": ["tables"],
+        }[command]
+        if command == "estimate":
+            write_samples(f, sample(SamplerConfig(seed=5, count=1000, params=FrechetParams(0.0, 1.0, 5.0))))
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        notes = [line for line in lines if line.startswith("# ")]
+        assert len(notes) == len(comments)
+        assert all(line.startswith(c) for line, c in zip(notes, comments))
+        rows = list(csv.reader(line for line in lines if line and not line.startswith("# ")))
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert len(rows) == {"moments": 7, "estimate": 4, "sample": 0, "tables": 10}[command]
+
+    def test_table_format_prints_no_comments(self, capsys):
+        _, out, _ = run(capsys, "moments", "--alpha", "5")
+        assert out.splitlines()[-2:] == ["skewness         3.535071605",
+                                         "excess kurtosis  45.09151213"]
 
 
 class TestTables:

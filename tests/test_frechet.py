@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -8,10 +9,13 @@ from frechetfit import (
     FrechetParams,
     FrechetShape,
     PrecisionLossError,
+    SampleStats,
     UndefinedMomentError,
+    alpha_exact,
     cdf,
     centered_moment,
     excess_kurtosis,
+    fit_location_scale,
     moment_report,
     normalized_centered_moment,
     pdf,
@@ -22,6 +26,7 @@ from frechetfit import (
     variance,
 )
 from frechetfit import frechet
+from frechetfit import special_functions as sf
 from frechetfit.checks import centered_moment_quad, quad_full, raw_moment_quad
 
 STD = FrechetParams(0.0, 1.0, 2.0)
@@ -162,6 +167,11 @@ class TestRawMoment:
     def test_k_below_one_rejected(self):
         with pytest.raises(DomainError):
             raw_moment(FrechetShape(5.0), 0)
+
+    def test_nan_order_rejected(self):
+        # math.gamma would turn it into a nan moment
+        with pytest.raises(DomainError):
+            raw_moment(FrechetShape(5.0), math.nan)
 
     def test_alpha10_k1_against_quadrature(self):
         assert raw_moment(FrechetShape(10.0), 1) == pytest.approx(
@@ -526,6 +536,13 @@ class TestMomentReport:
         r = moment_report(FrechetShape(5.0), 1)
         assert r.defined and r.centered is None and r.normalized is None
 
+    @pytest.mark.parametrize("k", [0, -1, -200])
+    @pytest.mark.parametrize("alpha", [1.0, 5.0])
+    def test_order_below_one_is_a_domain_error(self, alpha, k):
+        # as in raw_moment; at alpha = 1, k = -200 would ask for Gamma(201)
+        with pytest.raises(DomainError, match="moment order must be >= 1"):
+            moment_report(FrechetShape(alpha), k)
+
     @pytest.mark.parametrize("k", [*range(2, 9), 12, 21])
     def test_same_values_as_the_moment_functions(self, k):
         # one S_k evaluation serves both columns, bit for bit; at orders 12
@@ -541,3 +558,76 @@ class TestMomentReport:
                 expected = None, None
             r = moment_report(shape, k)
             assert (r.centered, r.normalized) == expected, alpha
+
+
+# the benchmark grid of alphas: 400 log-spaced in [2.01, 1e8]
+_BENCH_ALPHAS = [2.01 * (1e8 / 2.01) ** (i / 399) for i in range(400)]
+
+
+class TestKernelRoute:
+    """The kernels call math.gamma and math.lgamma, not the checked wrappers."""
+
+    def test_same_values_as_the_checked_wrappers(self):
+        for alpha in _BENCH_ALPHAS:
+            for p in range(1, 21):
+                if p < alpha:
+                    assert frechet._omega(alpha, p) == sf.gamma((alpha - p) / alpha), (alpha, p)
+            assert frechet.log_gamma(1.0 - 1.0 / alpha) == sf.log_gamma(1.0 - 1.0 / alpha), alpha
+
+    def test_no_call_reaches_the_checked_wrappers(self, monkeypatch):
+        # the patches catch a call through the module; the profiler also
+        # catches one through a name bound at import
+        def refuse(z):
+            raise AssertionError(f"checked wrapper called with {z!r}")
+
+        wrappers = {sf.gamma.__code__, sf.log_gamma.__code__}
+        reached = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in wrappers:
+                reached.append(frame.f_code.co_name)
+
+        monkeypatch.setattr(sf, "gamma", refuse)
+        monkeypatch.setattr(sf, "log_gamma", refuse)
+        shape = FrechetShape(5.0)
+        sys.setprofile(profile)
+        try:
+            reports = [moment_report(shape, k) for k in range(1, 6)]
+            skew = skewness(shape)
+            exact = alpha_exact(shape_variance(5.0))
+            fit = fit_location_scale(SampleStats(count=10**6, mean=raw_moment(shape, 1),
+                                                 variance=shape_variance(5.0),
+                                                 skewness=skew, excess_kurtosis=0.0))
+        finally:
+            sys.setprofile(None)
+        assert reached == []
+        assert reports[3].centered is not None and skew > 0.0
+        assert exact.alpha == pytest.approx(5.0, rel=1e-12)
+        assert fit.alpha == pytest.approx(5.0, rel=1e-9)
+
+    # (Gamma calls, ln Gamma calls) of moment_report at alpha = 5: Omega_k for
+    # the raw moment; S_2 from the series, with no Gamma call; S_3 and S_4 from
+    # the binomial sum, Omega_1 once and Omega_1 .. Omega_k again; one ln Gamma
+    # for each centered moment; nothing for an undefined order
+    @pytest.mark.parametrize("k, gammas, log_gammas", [
+        (1, 1, 0), (2, 1, 1), (3, 5, 1), (4, 6, 1), (5, 0, 0), (6, 0, 0),
+    ])
+    def test_counters_on_the_kernel_names_see_every_call(self, monkeypatch, k, gammas, log_gammas):
+        # the benchmark counts Gamma and ln Gamma calls by wrapping these two names
+        args = {"gamma": [], "log_gamma": []}
+
+        def counting(name):
+            fn = getattr(frechet, name)
+
+            def counted(z):
+                args[name].append(z)
+                return fn(z)
+
+            return counted
+
+        expected = moment_report(FrechetShape(5.0), k)
+        for name in args:
+            monkeypatch.setattr(frechet, name, counting(name))
+        assert moment_report(FrechetShape(5.0), k) == expected
+        assert (len(args["gamma"]), len(args["log_gamma"])) == (gammas, log_gammas)
+        assert all(0.0 < z <= 1.0 for z in args["gamma"] + args["log_gamma"])

@@ -19,6 +19,11 @@ from frechetfit import (
     MomentReport,
     SamplerConfig,
     SampleStats,
+    alpha_exact,
+    alpha_order1,
+    alpha_order2,
+    moment_report,
+    shape_variance,
 )
 from frechetfit.checks import CheckResult
 
@@ -147,3 +152,38 @@ def test_replace_keeps_the_type():
     moved = PARAMS._replace(location=-1.0)
     assert type(moved) is FrechetParams
     assert moved == FrechetParams(-1.0, 2.0, 5.0)
+
+
+# records as the library builds them (with tuple.__new__, not the class's
+# generated __new__): moment_report at a defined order with and without a
+# centered moment and at an undefined one, and the three estimators
+_V = shape_variance(5.0)
+BUILT = [
+    *(moment_report(FrechetShape(5.0), k) for k in (1, 3, 6)),
+    alpha_order1(_V),
+    alpha_order2(_V),
+    alpha_exact(_V),
+]
+
+
+def test_built_record_types():
+    assert [type(r) for r in BUILT] == [MomentReport] * 3 + [EstimateResult] * 3
+
+
+@pytest.mark.parametrize("record", BUILT, ids=["report-1", "report-3", "report-6", "order1", "order2", "exact"])
+class TestBuiltRecords:
+    def test_repr_names_the_fields(self, record):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, record))
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    def test_asdict(self, record):
+        assert record._asdict() == dict(zip(record._fields, record))
+
+    def test_equals_the_record_the_class_builds(self, record):
+        cls = type(record)
+        assert cls(*record) == cls(**record._asdict()) == record
+
+    def test_pickle(self, record):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record)
+        assert back == record
