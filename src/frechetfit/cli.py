@@ -4,8 +4,11 @@ Exit codes: 0 success, 1 a failed `check` diagnostic, 2 usage error
 (argparse), 3 domain or estimation error, 4 I/O or input-parsing error.
 `--format json` output carries a schema_version field; non-finite values are
 encoded as the strings "inf" / "-inf" / "nan" and undefined moments as null.
-In `--format csv` output each title and summary line starts with "# ", so
-every other non-blank line is a header or a row of CSV.
+In `--format csv` output each title, summary and `check` result line starts
+with "# ", so every other non-blank line is a header or a row of CSV.
+
+Only `estimate --input` and `sample` load numpy: they import the sample layer
+(sampling_io) when they run, and the other commands are scalar code.
 """
 
 import argparse
@@ -25,12 +28,11 @@ from .frechet import (
     shape_variance,
     skewness,
 )
-from .sampling_io import SamplerConfig, file_stats, sample_to_file
 
-# read_samples, sample, sample_stats and write_samples are not called here:
-# estimate --input streams its file (file_stats) and sample -o its draws
-# (sample_to_file); they stay names of this module for code that patches them
-from .sampling_io import read_samples, sample, sample_stats, write_samples  # noqa: F401
+# the package's loader: the sample layer's names (read_samples, sample,
+# sample_stats, write_samples, ...) stay attributes of this module, for code
+# that patches them, and load numpy only when first read
+from . import __getattr__  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -41,12 +43,15 @@ _TABLE_PRINTED_ORDER2 = ("4.42", "9.69", "49.93", "99.965")
 
 
 def _json_value(x):
-    if x is None:
-        return None
+    """x with every non-finite float in it, inside dicts and lists too, as "inf", "-inf" or "nan"."""
     if isinstance(x, float) and not math.isfinite(x):
         if math.isnan(x):
             return "nan"
         return "inf" if x > 0 else "-inf"
+    if isinstance(x, dict):
+        return {key: _json_value(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return [_json_value(value) for value in x]
     return x
 
 
@@ -58,23 +63,23 @@ def _fmt(x, digits: int = 10) -> str:
     return format(x, f".{digits}g")
 
 
-def _note(text: str, fmt: str) -> None:
-    """Print a line that is not a table row; in csv, as a "# " comment."""
-    print(f"# {text}" if fmt == "csv" else text)
-
-
-def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, payload) -> None:
+def _emit(fmt: str, payload, *parts) -> None:
+    """Print a command's output: in json the payload; in table and csv each part
+    in order, a str as a note ("# " comment in csv) and a list of rows, header
+    first, as a table."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
-    else:
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        print(json.dumps(_json_value(payload), indent=2))
+        return
+    for part in parts:
+        if isinstance(part, str):
+            print(f"# {part}" if fmt == "csv" else part)
+        elif fmt == "csv":
+            for row in part:
+                print(",".join(row))
+        else:
+            widths = [max(map(len, column)) for column in zip(*part)]
+            for row in part:
+                print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
 def _cmd_moments(args) -> int:
@@ -86,7 +91,7 @@ def _cmd_moments(args) -> int:
     kurt = excess_kurtosis(shape)
 
     undefined = "undefined (k >= alpha)"
-    rows = []
+    rows = [["order", "raw", "centered", "normalized"]]
     for r in reports:
         rows.append([
             str(r.order),
@@ -97,23 +102,12 @@ def _cmd_moments(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "alpha": args.alpha,
-        "moments": [
-            {
-                "order": r.order,
-                "raw": _json_value(r.raw),
-                "centered": _json_value(r.centered),
-                "normalized": _json_value(r.normalized),
-                "defined": r.defined,
-            }
-            for r in reports
-        ],
-        "skewness": _json_value(skew),
-        "excess_kurtosis": _json_value(kurt),
+        "moments": [r._asdict() for r in reports],
+        "skewness": skew,
+        "excess_kurtosis": kurt,
     }
-    _emit_rows(["order", "raw", "centered", "normalized"], rows, args.format, payload)
-    if args.format != "json":
-        _note(f"skewness         {_fmt(skew)}", args.format)
-        _note(f"excess kurtosis  {_fmt(kurt)}", args.format)
+    _emit(args.format, payload, rows,
+          f"skewness         {_fmt(skew)}", f"excess kurtosis  {_fmt(kurt)}")
     return 0
 
 
@@ -126,17 +120,22 @@ def _estimate_one(method: str, v: float, tol: float):
 
 
 def _cmd_estimate(args) -> int:
+    notes = []
     sample_info = None
     if args.input is not None:
+        # imported here: the sample layer loads numpy, which no other route needs
+        from .sampling_io import file_stats
+
         stats = file_stats(args.input, column=args.column)
         v = stats.variance
         sample_info = {"count": stats.count, "mean": stats.mean, "variance": stats.variance}
+        notes.append(f"sample count {stats.count}, mean {_fmt(stats.mean)}, variance {_fmt(v)}")
     else:
         v = args.variance
     methods = ["order1", "order2", "exact"] if args.method == "all" else [args.method]
     results = [_estimate_one(m, v, args.tol) for m in methods]
 
-    rows = [
+    rows = [["method", "alpha", "residual", "iterations"]] + [
         [r.method.value, _fmt(r.alpha), _fmt(r.residual, 6), str(r.iterations)]
         for r in results
     ]
@@ -145,48 +144,41 @@ def _cmd_estimate(args) -> int:
         "variance": v,
         "sample": sample_info,
         "estimates": [
-            {
-                "method": r.method.value,
-                "alpha": r.alpha,
-                "residual": _json_value(r.residual),
-                "iterations": r.iterations,
-            }
+            {"method": r.method.value, "alpha": r.alpha, "residual": r.residual,
+             "iterations": r.iterations}
             for r in results
         ],
     }
-    if args.format != "json" and sample_info is not None:
-        _note(f"sample count {stats.count}, mean {_fmt(stats.mean)}, variance {_fmt(v)}", args.format)
-    _emit_rows(["method", "alpha", "residual", "iterations"], rows, args.format, payload)
+    _emit(args.format, payload, *notes, rows)
     return 0
 
 
 def _cmd_sample(args) -> int:
+    # imported here: the sample layer loads numpy, which no other command needs
+    from .sampling_io import SamplerConfig, sample_to_file
+
     params = FrechetParams(args.location, args.scale, args.alpha)
     config = SamplerConfig(seed=args.seed, count=args.count, params=params)
     moments = sample_to_file(args.output, config)
     stats = moments.stats() if args.count >= 2 else None
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "output": args.output,
-            "count": args.count,
-            "seed": args.seed,
-            "location": args.location,
-            "scale": args.scale,
-            "alpha": args.alpha,
-        }
-        for key in ("mean", "variance", "skewness", "excess_kurtosis"):
-            payload[key] = None if stats is None else _json_value(getattr(stats, key))
-        print(json.dumps(payload, indent=2))
-    elif stats is not None:
-        _note(
-            f"wrote {args.count} samples to {args.output}: "
-            f"mean {_fmt(stats.mean)}, variance {_fmt(stats.variance)}, "
-            f"skewness {_fmt(stats.skewness)}, excess kurtosis {_fmt(stats.excess_kurtosis)}",
-            args.format,
-        )
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "output": args.output,
+        "count": args.count,
+        "seed": args.seed,
+        "location": args.location,
+        "scale": args.scale,
+        "alpha": args.alpha,
+    }
+    for key in ("mean", "variance", "skewness", "excess_kurtosis"):
+        payload[key] = None if stats is None else getattr(stats, key)
+    if stats is None:
+        note = f"wrote {args.count} sample to {args.output}"
     else:
-        _note(f"wrote {args.count} sample to {args.output}", args.format)
+        note = (f"wrote {args.count} samples to {args.output}: "
+                f"mean {_fmt(stats.mean)}, variance {_fmt(stats.variance)}, "
+                f"skewness {_fmt(stats.skewness)}, excess kurtosis {_fmt(stats.excess_kurtosis)}")
+    _emit(args.format, payload, note)
     return 0
 
 
@@ -213,13 +205,8 @@ def _table_rows(order2: bool):
 def _cmd_tables(args) -> int:
     t1 = _table_rows(order2=False)
     t2 = _table_rows(order2=True)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "order1_table": t1,
-        "order2_table": t2,
-    }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        _emit("json", {"schema_version": SCHEMA_VERSION, "order1_table": t1, "order2_table": t2})
         return 0
     for title, rows in (("order-1 estimate", t1), ("order-2 (cardano) estimate", t2)):
         print(f"# {title}")
@@ -235,7 +222,7 @@ def _cmd_tables(args) -> int:
             ]
             for r in rows
         ]
-        _emit_rows(header, body, args.format, None)
+        _emit(args.format, None, [header, *body])
         print()
     return 0
 
@@ -247,17 +234,17 @@ def _cmd_check(args) -> int:
 
     grid = args.alpha_grid if args.alpha_grid else None
     results = run_checks(grid)
-    if args.format == "json":
-        checks = [
-            {"name": r.name, "measured": _json_value(r.measured),
-             "bound": _json_value(r.bound), "passed": r.passed}
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "checks": [
+            {"name": r.name, "measured": r.measured, "bound": r.bound, "passed": r.passed}
             for r in results
-        ]
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "checks": checks}, indent=2))
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  {r.name}: measured {r.measured:.3e} (bound {r.bound:.3e})")
+        ],
+    }
+    _emit(args.format, payload, *(
+        f"{'PASS' if r.passed else 'FAIL'}  {r.name}: measured {r.measured:.3e} (bound {r.bound:.3e})"
+        for r in results
+    ))
     return 0 if all(r.passed for r in results) else 1
 
 

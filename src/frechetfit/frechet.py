@@ -55,6 +55,17 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"shape parameter must be > 0, got {alpha!r}")
 
 
+def _integral_order(k) -> int:
+    """An order that is not an int, such as 3.0 or numpy.int64(3), as an int.
+
+    The kernels take int orders only: their tables are cached by order, and a
+    key 3.0 would find the table built for 3 only after such a call.
+    """
+    if not (math.isfinite(k) and k == int(k)):
+        raise DomainError(f"moment order must be an integer, got {k!r}")
+    return int(k)
+
+
 class _Validated:
     """Base of the records whose __new__ checks the fields.
 
@@ -367,8 +378,10 @@ def centered_moment(d: FrechetShape, k: int) -> float:
     The binomial sum raises PrecisionLossError where it cancels to fewer than
     about six reliable digits (orders above 8 or so, see _MAX_ROUNDING).
     """
-    if k < 2:
+    if not k >= 2:  # a nan order too
         raise DomainError(f"centered moment order must be >= 2, got {k!r}")
+    if type(k) is not int:
+        k = _integral_order(k)
     if k >= d.alpha:
         raise UndefinedMomentError(
             f"centered moment of order {k} diverges for alpha = {d.alpha}"
@@ -392,8 +405,10 @@ def variance(d: FrechetParams) -> float:
 
 def normalized_centered_moment(d: FrechetShape, k: int) -> float:
     """Centered moment of order k divided by variance^(k/2), S_k / S_2^(k/2)."""
-    if k < 2:
+    if not k >= 2:  # a nan order too
         raise DomainError(f"normalized moment order must be >= 2, got {k!r}")
+    if type(k) is not int:
+        k = _integral_order(k)
     if d.alpha <= 2.0 or k >= d.alpha:
         raise UndefinedMomentError(
             f"normalized centered moment of order {k} undefined for alpha = {d.alpha}"
@@ -418,14 +433,16 @@ def excess_kurtosis(d: FrechetShape) -> float:
 def moment_report(d: FrechetShape, k: int) -> MomentReport:
     """Build the raw/centered/normalized report for one order k >= 1.
 
-    A k below 1 raises DomainError; past that check it never raises: an
-    undefined moment is None, and `centered` and `normalized` are None as
-    well where the binomial sum loses every digit (PrecisionLossError).  Both come from one
-    S_k evaluation, with the same values as centered_moment and
-    normalized_centered_moment.
+    A k below 1 or not an integer raises DomainError; past that check it
+    never raises: an undefined moment is None, and `centered` and `normalized`
+    are None as well where the binomial sum loses every digit
+    (PrecisionLossError).  Both come from one S_k evaluation, with the same
+    values as centered_moment and normalized_centered_moment.
     """
     if not k >= 1:
         raise DomainError(f"moment order must be >= 1, got {k!r}")
+    if type(k) is not int:
+        k = _integral_order(k)
     alpha = d.alpha
     defined = k < alpha
     raw = _omega(alpha, k) if defined else None

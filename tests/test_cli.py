@@ -353,6 +353,7 @@ class TestCsvFormat:
         ("estimate", ["# sample count 1000, "]),
         ("sample", ["# wrote 1000 samples to "]),
         ("tables", ["# order-1 estimate", "# order-2 (cardano) estimate"]),
+        ("check", ["# PASS "] * 4),
     ])
     def test_every_other_line_parses_to_the_header_width(self, capsys, tmp_path, command, comments):
         f = tmp_path / "s.txt"
@@ -361,6 +362,7 @@ class TestCsvFormat:
             "estimate": ["estimate", "--input", str(f)],
             "sample": ["sample", "--alpha", "5", "--count", "1000", "-o", str(f)],
             "tables": ["tables"],
+            "check": ["check", "--alpha-grid", "5"],
         }[command]
         if command == "estimate":
             write_samples(f, sample(SamplerConfig(seed=5, count=1000, params=FrechetParams(0.0, 1.0, 5.0))))
@@ -372,7 +374,7 @@ class TestCsvFormat:
         assert all(line.startswith(c) for line, c in zip(notes, comments))
         rows = list(csv.reader(line for line in lines if line and not line.startswith("# ")))
         assert all(len(row) == len(rows[0]) for row in rows)
-        assert len(rows) == {"moments": 7, "estimate": 4, "sample": 0, "tables": 10}[command]
+        assert len(rows) == {"moments": 7, "estimate": 4, "sample": 0, "tables": 10, "check": 0}[command]
 
     def test_table_format_prints_no_comments(self, capsys):
         _, out, _ = run(capsys, "moments", "--alpha", "5")
@@ -552,6 +554,39 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["False", "0 []", "0 []"]
+
+
+def test_only_the_sample_file_commands_load_numpy(tmp_path):
+    # moments, estimate --variance, tables and check are scalar code; the
+    # commands that read or write a sample file import the sample layer
+    f = tmp_path / "s.txt"
+    f.write_text("1.0\n2.0\n4.0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]))
+    code = "\n".join([
+        "import contextlib, io, sys, frechetfit.cli",
+        "print('numpy' in sys.modules)",
+        "for argv in (['moments', '--alpha', '5'], ['estimate', '--variance', '0.02'], ['tables'],",
+        "             ['check', '--alpha-grid', '5'], ['estimate', '--input', sys.argv[1]]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = frechetfit.cli.main(argv)",
+        "    print(argv[0], code, 'numpy' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, str(f)], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == [
+        "False", "moments 0 False", "estimate 0 False", "tables 0 False", "check 0 False",
+        "estimate 0 True",
+    ]
+
+
+def test_cli_still_names_the_sample_functions():
+    # code that patches the sample layer's calls reads these names on the CLI
+    # module, which the package's loader answers
+    import frechetfit.cli as cli
+    import frechetfit.sampling_io as sampling_io
+
+    for name in ("read_samples", "write_samples", "sample", "sample_stats"):
+        assert getattr(cli, name) is getattr(sampling_io, name), name
 
 
 def test_package_import_leaves_numpy_unloaded():

@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -558,6 +561,37 @@ class TestMomentReport:
                 expected = None, None
             r = moment_report(shape, k)
             assert (r.centered, r.normalized) == expected, alpha
+
+
+class TestIntegerOrders:
+    """Orders of the centered and normalized moments are integers; raw_moment takes real ones."""
+
+    FUNCTIONS = [centered_moment, normalized_centered_moment, moment_report]
+
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("f", FUNCTIONS, ids=lambda f: f.__name__)
+    def test_order_that_is_not_an_integer_is_a_domain_error(self, f, k):
+        with pytest.raises(DomainError):
+            f(FrechetShape(10.0), k)
+
+    def test_raw_moment_takes_a_real_order(self):
+        assert raw_moment(FrechetShape(10.0), 2.5) == math.gamma(0.75)
+
+    def test_integral_orders_give_the_int_values_in_a_fresh_process(self):
+        # the kernels' tables are cached by order: a float key 3.0 used to
+        # find the table for 3 only after a call with 3 had built it
+        env = dict(os.environ, PYTHONPATH=str(Path(frechet.__file__).parents[1]))
+        code = "\n".join([
+            "import numpy as np",
+            "from frechetfit import FrechetShape, centered_moment, normalized_centered_moment, moment_report",
+            "fs = (centered_moment, normalized_centered_moment, moment_report)",
+            "shape = FrechetShape(10.0)",
+            "values = [[f(shape, k) for f in fs] for k in (3.0, np.int64(3), 3)]",
+            "print(values[0] == values[1] == values[2], type(values[0][2].order).__name__)",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout == "True int\n"
 
 
 # the benchmark grid of alphas: 400 log-spaced in [2.01, 1e8]
