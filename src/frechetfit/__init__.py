@@ -1,85 +1,32 @@
 """Frechet extreme-value distribution moments and shape-parameter inference.
 
-The moments, estimators and fit are plain float arithmetic and import only
-the standard library.  The sample layer (SamplerConfig, sample, read_samples,
-file_stats, write_samples, sample_stats) needs numpy, so it is imported on
-first use of one of its names.
+The package re-exports the `__all__` of each of its modules, and its own
+`__all__` is theirs joined.  The moments, estimators and fit are plain float
+arithmetic and import only the standard library.  The sample layer
+(sampling_io) needs numpy, so it is imported on first use of one of its names.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateFitError,
-    DomainError,
-    EmptyInputError,
-    FrechetFitError,
-    GammaRangeError,
-    InsufficientDataError,
-    NoConvergenceError,
-    ParseError,
-    PoleError,
-    PrecisionLossError,
-    UndefinedMomentError,
-)
-from .estimation import (
-    CubicCoefficients,
-    EstimateResult,
-    Method,
-    SampleStats,
-    alpha_exact,
-    alpha_order1,
-    alpha_order2,
-    fit_location_scale,
-)
-from .frechet import (
-    FrechetParams,
-    FrechetShape,
-    MomentReport,
-    cdf,
-    centered_moment,
-    excess_kurtosis,
-    moment_report,
-    normalized_centered_moment,
-    pdf,
-    quantile,
-    raw_moment,
-    shape_variance,
-    skewness,
-    variance,
-)
-from .special_functions import (
-    CONSTANTS,
-    LAURENT,
-    LaurentCoefficients,
-    MathConstants,
-    gamma,
-    gamma_laurent,
-    gamma_plus_one_taylor,
-    log_gamma,
-)
+from . import errors, estimation, frechet, special_functions
+from .errors import *  # noqa: F403
+from .estimation import *  # noqa: F403
+from .frechet import *  # noqa: F403
+from .special_functions import *  # noqa: F403
+
+# sampling_io.__all__, readable here without importing numpy
+_SAMPLING_IO_NAMES = ("SamplerConfig", "sample", "read_samples", "file_stats", "write_samples", "sample_stats")
 
 __all__ = [
     "__version__",
-    "FrechetFitError", "DomainError", "PoleError", "GammaRangeError",
-    "UndefinedMomentError", "NoConvergenceError", "DegenerateFitError",
-    "InsufficientDataError", "ParseError", "EmptyInputError", "PrecisionLossError",
-    "MathConstants", "LaurentCoefficients", "CONSTANTS", "LAURENT",
-    "gamma", "log_gamma", "gamma_laurent", "gamma_plus_one_taylor",
-    "FrechetShape", "FrechetParams", "MomentReport",
-    "pdf", "cdf", "quantile", "raw_moment", "centered_moment",
-    "normalized_centered_moment", "skewness", "excess_kurtosis",
-    "variance", "shape_variance", "moment_report",
-    "Method", "EstimateResult", "CubicCoefficients", "SampleStats",
-    "alpha_order1", "alpha_order2", "alpha_exact",
-    "fit_location_scale", "sample_stats",
-    "SamplerConfig", "sample", "read_samples", "file_stats", "write_samples",
+    *errors.__all__,
+    *special_functions.__all__,
+    *frechet.__all__,
+    *estimation.__all__,
+    *_SAMPLING_IO_NAMES,
 ]
-
-_SAMPLING_IO_NAMES = {
-    "SamplerConfig", "sample", "read_samples", "file_stats", "write_samples", "sample_stats",
-}
 
 
 def __getattr__(name):

@@ -44,12 +44,12 @@ def quad_full(f) -> float:
         x = math.exp(0.5 * math.pi * math.sinh(t))
         try:
             return f(x) * x * math.cosh(t)
-        except OverflowError:  # s**alpha and the like overflow only where the integrand underflows
+        except OverflowError:  # powers and exponentials overflow only where the integrand underflows
             return 0.0
 
     h, terms = 1.0, [term(float(t)) for t in range(-6, 7)]
     total = math.fsum(terms)
-    while h > 2.0**-10:  # every integrand of `check` converges by h = 2**-9
+    while h > 2.0**-10:  # every integrand of `check` converges by h = 2**-7
         h /= 2.0
         n = round(6.0 / h)
         terms += [term(j * h) for j in range(1 - n, n, 2)]
@@ -61,31 +61,46 @@ def quad_full(f) -> float:
 
 def raw_moment_quad(alpha: float, k: int) -> float:
     """Quadrature of E[X^k]; see `_moment_quad`."""
-    return _moment_quad(alpha, k, 0.0)
+    return _moment_quad(alpha, k, -1.0)
 
 
 def centered_moment_quad(alpha: float, k: int) -> float:
-    """Quadrature of E[(X - mu1)^k], mu1 by quadrature too; see `_moment_quad`."""
-    return _moment_quad(alpha, k, raw_moment_quad(alpha, 1))
+    """Quadrature of E[(X - mu1)^k], mu1 - 1 by quadrature too; see `_moment_quad`."""
+    return _moment_quad(alpha, k, _moment_quad(alpha, 1, 0.0))
 
 
-def _moment_quad(alpha: float, k: int, c: float) -> float:
-    """E[(X - c)^k] for the standard Frechet law, by quadrature.
+def _moment_quad(alpha: float, k: int, d: float) -> float:
+    """E[(X - c)^k], c = 1 + d, for the standard Frechet law, by quadrature.
 
-    Substituting x = 1/s gives the integral of alpha s^(alpha-1-k) (1 - c s)^k
-    exp(-s^alpha) over (0, inf).  When alpha is just above k, its factor
-    s^(alpha-1-k) puts mass below the smallest float, so it is integrated by
-    parts: alpha/(alpha-k) times the integral of s^(alpha-k) (1 - c s)^(k-1)
-    (k c + alpha s^(alpha-1) (1 - c s)) exp(-s^alpha), which vanishes at s = 0.
+    X = z^(-1/alpha) with z a unit exponential, so this is the integral of
+    (x - c)^k exp(-z) over z > 0.  Just above alpha = k its z^(-k/alpha) at
+    z = 0 leaves mass beyond the nodes, so it is integrated by parts:
+    1/(alpha-k) times the integral of (x - c)^(k-1) (k c + alpha z (x - c))
+    exp(-z), which spans a few units of ln z at every alpha.  Per unit of
+    ln z that integrand falls off towards z = 0 as z^((alpha-k+1)/alpha)
+    (faster than z for c = 0, where the k c term drops), slowly where k is
+    near alpha; so it is integrated in w = z^(1/m), whose nodes reach
+    ln z = -317 m, m the least integer that takes that fall-off past e^-40.
+    x - c is taken as expm1(-ln(z)/alpha) - d, which keeps its digits where
+    x and c are both near 1 (large alpha), and (x - c)^(k-1) z as
+    (s (x - c))^(k-1) s^(alpha-k+1), s = 1/x, which stays finite where
+    x^(k-1) overflows.
     """
+    c = 1.0 + d
+    m = math.ceil(40.0 * alpha / (317.0 * (alpha - k + 1))) if c else 1
 
-    def f(s: float) -> float:
-        z = s**alpha
-        e = math.exp(-z)  # z * e is 0 where e underflows; alpha * z alone may overflow there
-        bracket = k * c * e + alpha * (z * e) * (1.0 / s - c)
-        return s ** (alpha - k) * (1.0 - c * s) ** (k - 1) * bracket
+    def f(w: float) -> float:
+        ln_z = m * math.log(w)
+        z = math.exp(ln_z)
+        e = math.exp(-z)
+        if e == 0.0:  # the polynomial factors may overflow where e underflows
+            return 0.0
+        dev = math.expm1(-ln_z / alpha) - d
+        s = math.exp(ln_z / alpha)
+        power = (s * dev) ** (k - 1) * math.exp(ln_z * (alpha - k + 1) / alpha)
+        return m * power * (k * c + alpha * z * dev) * e / w
 
-    return alpha / (alpha - k) * quad_full(f)
+    return quad_full(f) / (alpha - k)
 
 
 def _check_normalization() -> CheckResult:

@@ -1,5 +1,19 @@
 """Exception hierarchy shared by all frechetfit modules."""
 
+__all__ = [
+    "FrechetFitError",
+    "DomainError",
+    "PoleError",
+    "GammaRangeError",
+    "UndefinedMomentError",
+    "PrecisionLossError",
+    "NoConvergenceError",
+    "DegenerateFitError",
+    "InsufficientDataError",
+    "ParseError",
+    "EmptyInputError",
+]
+
 
 class FrechetFitError(Exception):
     """Base class for all errors raised by this package."""

@@ -17,7 +17,6 @@ __all__ = [
     "LaurentCoefficients",
     "CONSTANTS",
     "LAURENT",
-    "ZETA",
     "gamma",
     "log_gamma",
     "gamma_laurent",
@@ -79,9 +78,8 @@ LAURENT = LaurentCoefficients()
 def gamma(z: float) -> float:
     """Gamma function for real arguments.
 
-    Supports z > 0 up to the float overflow threshold and one recurrence
-    step Gamma(z) = Gamma(z+1)/z for z in (-1, 0), which is the only
-    negative range this package needs.
+    Supports z > 0 up to the float overflow threshold and, by one recurrence
+    step Gamma(z) = Gamma(z+1)/z, z in (-1, 0); every other argument raises.
     """
     if 0.0 < z <= _GAMMA_OVERFLOW:
         return math.gamma(z)

@@ -433,6 +433,14 @@ class TestCheck:
         assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
         assert err == ""
 
+    def test_moment_oracle_holds_at_large_alpha(self, capsys):
+        # the oracle's integrand keeps its width at alpha = 500, so the check
+        # measures the library's order-20 error, not the oracle's; the exit
+        # code follows that error and is not pinned here
+        _, out, _ = run(capsys, "check", "--alpha-grid", "500", "--format", "json")
+        [oracle] = [c for c in json.loads(out)["checks"] if c["name"] == "moment-oracle"]
+        assert oracle["measured"] < 1e-6
+
     def test_bad_alpha_grid_is_a_domain_error(self, capsys):
         # exit 3 as for any DomainError, distinct from the 1 of a failed check
         code, out, err = run(capsys, "check", "--alpha-grid", "0")
@@ -615,6 +623,36 @@ def test_package_import_leaves_numpy_unloaded():
     assert out.stdout.splitlines() == [
         "[]", "True True", "True", "module 'frechetfit' has no attribute 'no_such_name'",
     ]
+
+
+def test_package_all_joins_the_module_lists():
+    # the package states no public name of its own but __version__: its
+    # __all__ is its modules' __all__ lists joined
+    assert len(frechetfit.__all__) == len(set(frechetfit.__all__))
+    for name in frechetfit.__all__:
+        assert hasattr(frechetfit, name), name
+    assert set(frechetfit.__all__) == {
+        "__version__",
+        "FrechetFitError", "DomainError", "PoleError", "GammaRangeError",
+        "UndefinedMomentError", "NoConvergenceError", "DegenerateFitError",
+        "InsufficientDataError", "ParseError", "EmptyInputError", "PrecisionLossError",
+        "MathConstants", "LaurentCoefficients", "CONSTANTS", "LAURENT",
+        "gamma", "log_gamma", "gamma_laurent", "gamma_plus_one_taylor",
+        "FrechetShape", "FrechetParams", "MomentReport",
+        "pdf", "cdf", "quantile", "raw_moment", "centered_moment",
+        "normalized_centered_moment", "skewness", "excess_kurtosis",
+        "variance", "shape_variance", "moment_report",
+        "Method", "EstimateResult", "CubicCoefficients", "SampleStats",
+        "alpha_order1", "alpha_order2", "alpha_exact",
+        "fit_location_scale", "sample_stats",
+        "SamplerConfig", "sample", "read_samples", "file_stats", "write_samples",
+    }
+
+
+def test_package_copy_of_the_sample_layer_names():
+    # the package answers these names without importing numpy, so it keeps
+    # its own copy of sampling_io.__all__
+    assert set(frechetfit._SAMPLING_IO_NAMES) == set(frechetfit.sampling_io.__all__)
 
 
 class TestVersion:

@@ -218,19 +218,35 @@ class TestCenteredMoment:
             ref = centered_moment_quad(alpha, k)
             assert centered_moment(shape, k) == pytest.approx(ref, rel=1e-7)
 
-    @pytest.mark.parametrize("alpha", [2.01, 2.5, 3.05, 12.0, 25.0, 40.0])
+    @staticmethod
+    def _mpmath_moments(alpha, k):
+        # E[X^k] and E[(X - mu1)^k]; the binomial sum cancels about k digits
+        with mp.workdps(60 + k):
+            a = mp.mpf(alpha)
+            om = [mp.gamma(1 - p / a) for p in range(k + 1)]
+            ref = mp.fsum(mp.binomial(k, p) * (-om[1]) ** (k - p) * om[p] for p in range(k + 1))
+        return float(om[k]), float(ref)
+
+    @pytest.mark.parametrize("alpha", [2.01, 2.5, 3.05, 12.0, 25.0, 40.0, 200.0, 1000.0, 1e4])
     def test_quadrature_oracle_against_mpmath(self, alpha):
-        # the oracles themselves, not the library: the integrand (1 - mu1 s)^k
-        # cancels near s = 1/mu1, which cost adaptive quadrature 7e-7 at
-        # alpha = 40, and just above an integer k most of the mass of
-        # s^(alpha-1-k) lies below the smallest float
+        # the oracles themselves, not the library: the integrand (x - mu1)^k
+        # cancels near x = mu1, which cost adaptive quadrature 7e-7 at
+        # alpha = 40; just above an integer k most of the mass of x^k lies
+        # beyond the nodes; and from alpha 200 on an integrand in s = 1/x
+        # narrows as 1/alpha below the finest step
         for k in range(2, min(13, math.ceil(alpha))):
-            with mp.workdps(60):
-                a = mp.mpf(alpha)
-                om = [mp.gamma(1 - p / a) for p in range(k + 1)]
-                ref = mp.fsum(mp.binomial(k, p) * (-om[1]) ** (k - p) * om[p] for p in range(k + 1))
-            assert raw_moment_quad(alpha, k) == pytest.approx(float(om[k]), rel=1e-12, abs=0.0)
-            assert centered_moment_quad(alpha, k) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+            raw, centered = self._mpmath_moments(alpha, k)
+            assert raw_moment_quad(alpha, k) == pytest.approx(raw, rel=1e-12, abs=0.0)
+            assert centered_moment_quad(alpha, k) == pytest.approx(centered, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [16.01, 30.01, 100.01])
+    def test_quadrature_oracle_top_order_against_mpmath(self, alpha):
+        # at the top order just below alpha the centered integrand falls off
+        # towards z = 0 only as z^((alpha-k+1)/alpha)
+        k = math.ceil(alpha) - 1
+        raw, centered = self._mpmath_moments(alpha, k)
+        assert raw_moment_quad(alpha, k) == pytest.approx(raw, rel=1e-12, abs=0.0)
+        assert centered_moment_quad(alpha, k) == pytest.approx(centered, rel=1e-12, abs=0.0)
 
 
 class TestNormalizedCenteredMoment:
