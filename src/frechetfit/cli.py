@@ -96,8 +96,8 @@ def _cmd_moments(args) -> int:
         rows.append([
             str(r.order),
             _fmt(r.raw) if r.defined else undefined,
-            (_fmt(r.centered) if r.centered is not None else "-") if r.defined else undefined,
-            (_fmt(r.normalized) if r.normalized is not None else "-") if r.defined else undefined,
+            _fmt(r.centered) if r.defined else undefined,
+            _fmt(r.normalized) if r.defined else undefined,
         ])
     payload = {
         "schema_version": SCHEMA_VERSION,

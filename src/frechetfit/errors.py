@@ -28,7 +28,7 @@ class PoleError(DomainError):
 
 
 class GammaRangeError(FrechetFitError, OverflowError):
-    """Gamma overflowed the 64-bit float range (z > ~171.6)."""
+    """Gamma or its logarithm overflowed the 64-bit float range."""
 
 
 class UndefinedMomentError(FrechetFitError, ValueError):

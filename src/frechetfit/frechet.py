@@ -399,8 +399,17 @@ def shape_variance(alpha: float) -> float:
 
 
 def variance(d: FrechetParams) -> float:
-    """scale^2 * (Omega_2 - Omega_1^2); undefined for alpha <= 2."""
-    return d.scale**2 * shape_variance(d.alpha)
+    """scale^2 * (Omega_2 - Omega_1^2); undefined for alpha <= 2.
+
+    Within two roundings of shape_variance(alpha) times scale^2: scale
+    multiplies it twice, so a finite variance does not overflow on the way.
+    alpha <= 2 raises UndefinedMomentError, and a variance beyond float64
+    DomainError.
+    """
+    v = d.scale * (d.scale * shape_variance(d.alpha))
+    if v == math.inf:
+        raise DomainError(f"the variance overflows float64 at scale {d.scale!r} and alpha {d.alpha!r}")
+    return v
 
 
 def normalized_centered_moment(d: FrechetShape, k: int) -> float:

@@ -41,26 +41,17 @@ _CHUNK = 1 << 15
 _WRITE_CHUNK = _CHUNK // 2
 
 
-# _Moments.add merges a block of equal values with zero central sums where
-# its mean exceeds this in magnitude.  Their deviations from the rounded mean
-# are a few ulps of it (up to 5 seen), whose fourth powers, summed over a
-# block of up to 2^15 values and taken about the mean, overflow from a mean
-# of about 2.2e91 (seen for 32768 equal values); 2^300 (2e90) covers
-# deviations of 8 ulps, and ordinary data never reaches it.
-_EQUAL_BLOCK_MEAN = 2.0**300
-
-
 class _Moments:
     """Count, mean and central sums M2, M3, M4 of blocks of values added in order.
 
-    add() takes a block's mean and the sums of the second, third and fourth
-    powers of its deviations from it, and merges them into the running ones
-    by the pairwise update of Chan, Golub and LeVeque (1983) and Pebay
-    (SAND2008-6212).  Every block but the last holds _CHUNK values, so
-    equal values in equal blocks give equal moments, whether the blocks are
-    slices of one array, drawn one at a time or read from a file.  A block
-    of equal values with a mean above _EQUAL_BLOCK_MEAN is merged with its
-    value as the mean and zero sums, as its deviations could overflow.
+    add() takes a block's mean as c + mean(block - c), c its first value, so
+    equal values give their value and deviations of exactly 0 at any
+    magnitude; it sums the powers of the deviations from that mean, corrected
+    by their own mean, and merges them into the running sums by the pairwise
+    update of Chan, Golub and LeVeque (1983) and Pebay (SAND2008-6212).
+    Every block but the last holds _CHUNK values, so equal values in equal
+    blocks give equal moments, whether the blocks are slices of one array,
+    drawn one at a time or read from a file.  sample_stats gives the errors.
     """
 
     def __init__(self):
@@ -72,26 +63,23 @@ class _Moments:
         """Merge in the float64 array `block`; d and d2, as long, are overwritten (d may be block)."""
         nb = block.size
         with np.errstate(over="ignore", invalid="ignore"):
-            mb = float(block.mean())
+            c = float(block[0])
+            mb = c + float(np.subtract(block, c, out=d2).mean())
             if not math.isfinite(mb) and self.finite:
-                # a nan or an infinity makes the sum one; so does overflow
+                # a nan, an infinity or overflow; tested before d overwrites the block
                 self.finite = bool(np.isfinite(block).all())
-            # tested on the block, which d may overwrite
-            if not abs(mb) <= _EQUAL_BLOCK_MEAN and self.finite and block.min() == block.max():
-                mb, m2b, m3b, m4b = float(block[0]), 0.0, 0.0, 0.0
-            else:
-                np.subtract(block, mb, out=d)
-                e = float(d.sum()) / nb
-                np.multiply(d, d, out=d2)
-                s2 = float(d2.sum())
-                s3 = float(np.multiply(d2, d, out=d).sum())
-                d2 *= d2
-                s4 = float(d2.sum())
-                # the sums about the block's mean mb + e, from those about mb
-                mb += e
-                m2b = s2 - nb * e * e
-                m3b = s3 - 3.0 * e * s2 + 2.0 * nb * e * e * e
-                m4b = s4 - 4.0 * e * s3 + 6.0 * e * e * s2 - 3.0 * nb * e * e * e * e
+            np.subtract(block, mb, out=d)
+            e = float(d.sum()) / nb
+            np.multiply(d, d, out=d2)
+            s2 = float(d2.sum())
+            s3 = float(np.multiply(d2, d, out=d).sum())
+            d2 *= d2
+            s4 = float(d2.sum())
+        # the sums about the block's mean mb + e, from those about mb
+        mb += e
+        m2b = s2 - nb * e * e
+        m3b = s3 - 3.0 * e * s2 + 2.0 * nb * e * e * e
+        m4b = s4 - 4.0 * e * s3 + 6.0 * e * e * s2 - 3.0 * nb * e * e * e * e
         na = self.count
         if na == 0:
             self.count, self.mean, self.m2, self.m3, self.m4 = nb, mb, m2b, m3b, m4b
@@ -134,26 +122,25 @@ class _Moments:
         return SampleStats(count=n, mean=self.mean, variance=var, skewness=skew, excess_kurtosis=kurt)
 
 
-def _moments(x) -> _Moments:
-    """The 1-D float64 array x merged into _Moments one block of _CHUNK values at a time."""
+def sample_stats(data: Sequence[float]) -> SampleStats:
+    """Empirical moments; see SampleStats for the exact estimators.
+
+    The values are merged into _Moments one block of _CHUNK values at a
+    time, in two buffers of a block that every block reuses; file_stats
+    reads a file in the same blocks, so it gives sample_stats(read_samples(f))
+    bit for bit.  Against exact rational sums the mean and the central
+    moments up to order 4 were within 7e-16 of theirs, relative, at alpha
+    3.5 to 1000 (70000 values); a location far above the spread costs more,
+    1.5e-13 for the variance at location 1e6 and scale 1.  A nan or an
+    infinity, or central moments that overflow float64, raise DomainError.
+    """
+    x = np.asarray(data, dtype=np.float64).reshape(-1)
     moments = _Moments()
     buffers = np.empty((2, min(x.size, _CHUNK)))
     for start in range(0, x.size, _CHUNK):
         block = x[start:start + _CHUNK]
         moments.add(block, *buffers[:, :block.size])
-    return moments
-
-
-def sample_stats(data: Sequence[float]) -> SampleStats:
-    """Empirical moments; see SampleStats for the exact estimators.
-
-    The values are merged into the moments one block of _CHUNK values at a
-    time (see _Moments): each block's mean, then its deviations from that
-    mean and their second, third and fourth powers, formed in two buffers of
-    a block that every block reuses.  file_stats reads a file in the same
-    blocks, so it gives sample_stats(read_samples(f)) bit for bit.
-    """
-    return _moments(np.asarray(data, dtype=np.float64).reshape(-1)).stats()
+    return moments.stats()
 
 
 class _SamplerConfigFields(NamedTuple):
@@ -935,7 +922,7 @@ def _may_overflow(config: SamplerConfig) -> bool:
     So no draw exceeds W = |m| + 2 s t in magnitude.  _Moments sums up to
     `count` fourth powers of deviations below 2W, and its merge terms reach
     count^2 times such a power; where 256 count^2 W^4 is finite, so is each
-    of them, and so is the sum of a block of draws.
+    of them, and so is the sum of a block's differences from its first value.
     """
     t = float(_transform(np.array([_U_MAX]), FrechetParams(0.0, 1.0, config.params.alpha))[0])
     w = abs(config.params.location) + 2.0 * config.params.scale * t

@@ -50,10 +50,6 @@ ZETA = (
     1.0000009539620338,
 )
 
-# gamma(z) overflows a 64-bit float just above this argument
-_GAMMA_OVERFLOW = 171.62437695630272
-
-
 class MathConstants(NamedTuple):
     """The three constants entering the expansion coefficients."""
 
@@ -78,26 +74,40 @@ LAURENT = LaurentCoefficients()
 def gamma(z: float) -> float:
     """Gamma function for real arguments.
 
-    Supports z > 0 up to the float overflow threshold and, by one recurrence
-    step Gamma(z) = Gamma(z+1)/z, z in (-1, 0); every other argument raises.
+    math.gamma for z > 0 and, by one recurrence step Gamma(z) = Gamma(z+1)/z,
+    z in (-1, 0).  Where the result overflows float64, z above
+    171.62437695630272 or within about 5.6e-309 of 0, it raises
+    GammaRangeError; a pole, z <= -1 or a non-finite z raises DomainError.
     """
-    if 0.0 < z <= _GAMMA_OVERFLOW:
-        return math.gamma(z)
-    if not math.isfinite(z):
+    if 0.0 < z < math.inf:
+        try:
+            return math.gamma(z)
+        except OverflowError:
+            pass
+    elif -1.0 < z < 0.0:
+        g = math.gamma(z + 1.0) / z
+        if g != -math.inf:
+            return g
+    elif not math.isfinite(z):
         raise DomainError(f"gamma requires a finite argument, got {z!r}")
-    if z <= 0.0 and z == math.floor(z):
+    elif z == math.floor(z):
         raise PoleError(f"gamma has a pole at z = {z}")
-    if z > _GAMMA_OVERFLOW:
-        raise GammaRangeError(f"gamma({z}) overflows 64-bit floating point")
-    if -1.0 < z < 0.0:
-        return math.gamma(z + 1.0) / z
-    raise DomainError(f"gamma not supported for z <= -1, got {z}")
+    else:
+        raise DomainError(f"gamma not supported for z <= -1, got {z}")
+    raise GammaRangeError(f"gamma({z}) overflows 64-bit floating point")
 
 
 def log_gamma(z: float) -> float:
-    """Natural log of Gamma(z) for z > 0; stable where gamma would overflow."""
+    """Natural log of Gamma(z) for z > 0; stable where gamma would overflow.
+
+    math.lgamma, finite up to about 2.6e305; above that it raises
+    GammaRangeError.  z <= 0 or a non-finite z raises DomainError.
+    """
     if 0.0 < z < math.inf:
-        return math.lgamma(z)
+        try:
+            return math.lgamma(z)
+        except OverflowError:
+            raise GammaRangeError(f"log_gamma({z}) overflows 64-bit floating point") from None
     raise DomainError(f"log_gamma requires z > 0, got {z!r}")
 
 

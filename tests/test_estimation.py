@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -495,6 +496,19 @@ class TestSampleStats:
         s2, s3 = math.fsum((d * d).tolist()) / n, math.fsum((d * d * d).tolist()) / n
         assert abs(m2 - (s2 - e * e)) <= 1e-15 * s2
         assert abs(m3 - (s3 - 3.0 * e * s2 + 2.0 * e**3)) <= 1e-15 * math.fsum(np.abs(d**3).tolist()) / n
+
+    def test_blocks_that_start_with_a_spike(self):
+        # each block's deviations are taken about its own mean, not about its
+        # first value; about the spike they lose the small values' digits
+        rng = np.random.default_rng(30)
+        x = 1.0 + 0.01 * rng.standard_normal(40_000)
+        x[0], x[_CHUNK] = 1e8, 1e12
+        s = sample_stats(x)
+        values = [Fraction(v) for v in x.tolist()]
+        mean = sum(values) / x.size
+        variance = sum((v - mean) ** 2 for v in values) / (x.size - 1)
+        assert abs(Fraction(s.mean) - mean) <= Fraction(1e-15) * mean
+        assert abs(Fraction(s.variance) - variance) <= Fraction(1e-15) * variance
 
     def test_seeded_samples_match_table_variance(self):
         n = 100_000

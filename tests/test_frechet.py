@@ -332,6 +332,21 @@ class TestVariance:
         with pytest.raises(UndefinedMomentError):
             variance(FrechetParams(0.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("params, expected", [
+        (FrechetParams(0.0, 1e200, 5.0),
+         DomainError("the variance overflows float64 at scale 1e+200 and alpha 5.0")),
+        (FrechetParams(0.0, 1e200, 0.001), UndefinedMomentError("variance diverges for alpha = 0.001 <= 2")),
+        (FrechetParams(0.0, 1e155, 100.0), 1e155 * (1e155 * shape_variance(100.0))),
+    ], ids=["overflows", "alpha-first", "finite-past-scale-squared"])
+    def test_large_scale(self, params, expected):
+        # scale^2 alone overflows in each; the alpha check comes first
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as exc:
+                variance(params)
+            assert str(exc.value) == str(expected)
+        else:
+            assert variance(params) == expected == pytest.approx(1.689e306, rel=1e-3)
+
     @pytest.mark.parametrize("alpha", [math.inf, math.nan])
     def test_shape_variance_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(DomainError):

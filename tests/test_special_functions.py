@@ -14,8 +14,11 @@ from frechetfit import (
     gamma_plus_one_taylor,
     log_gamma,
 )
-from frechetfit.special_functions import _GAMMA_OVERFLOW, ZETA
+from frechetfit.special_functions import ZETA
 from oracles import euler_gamma_series, zeta2_series, zeta3_series
+
+# the largest z at which Gamma(z) is a finite float64
+_GAMMA_LAST_FINITE = 171.62437695630272
 
 
 class TestConstants:
@@ -92,9 +95,11 @@ class TestGamma:
         (-math.inf, DomainError("gamma requires a finite argument, got -inf")),
         (-0.5, math.gamma(0.5) / -0.5),
         (-1.5, DomainError("gamma not supported for z <= -1, got -1.5")),
-        (_GAMMA_OVERFLOW, math.gamma(_GAMMA_OVERFLOW)),
-        (math.nextafter(_GAMMA_OVERFLOW, math.inf),
-         GammaRangeError(f"gamma({math.nextafter(_GAMMA_OVERFLOW, math.inf)}) overflows 64-bit floating point")),
+        (_GAMMA_LAST_FINITE, math.gamma(_GAMMA_LAST_FINITE)),
+        (math.nextafter(_GAMMA_LAST_FINITE, math.inf),
+         GammaRangeError(f"gamma({math.nextafter(_GAMMA_LAST_FINITE, math.inf)}) overflows 64-bit floating point")),
+        (5e-324, GammaRangeError("gamma(5e-324) overflows 64-bit floating point")),
+        (-5e-324, GammaRangeError("gamma(-5e-324) overflows 64-bit floating point")),
     ])
     def test_edges_of_the_domain(self, z, expected):
         # the value, or the error type and message, on each side of every check
@@ -138,9 +143,15 @@ class TestLogGamma:
             log_gamma(z)
         assert str(exc.value) == f"log_gamma requires z > 0, got {z!r}"
 
-    @pytest.mark.parametrize("z", [_GAMMA_OVERFLOW, math.nextafter(_GAMMA_OVERFLOW, math.inf)])
+    @pytest.mark.parametrize("z", [_GAMMA_LAST_FINITE, math.nextafter(_GAMMA_LAST_FINITE, math.inf)])
     def test_finite_where_gamma_overflows(self, z):
         assert log_gamma(z) == math.lgamma(z)
+
+    @pytest.mark.parametrize("z", [2.6e305, 1e308])
+    def test_range_error(self, z):
+        with pytest.raises(GammaRangeError) as exc:
+            log_gamma(z)
+        assert str(exc.value) == f"log_gamma({z}) overflows 64-bit floating point"
 
     def test_no_overflow_for_large_argument(self):
         assert log_gamma(1000.0) == pytest.approx(math.lgamma(1000.0))
