@@ -159,8 +159,7 @@ def _cmd_sample(args) -> int:
 
     params = FrechetParams(args.location, args.scale, args.alpha)
     config = SamplerConfig(seed=args.seed, count=args.count, params=params)
-    moments = sample_to_file(args.output, config)
-    stats = moments.stats() if args.count >= 2 else None
+    stats = sample_to_file(args.output, config)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "output": args.output,

@@ -178,10 +178,19 @@ def cdf(d: FrechetParams, x: float) -> float:
 
 
 def quantile(d: FrechetParams, p: float) -> float:
-    """Inverse cdf: m + s*(-ln p)^(-1/alpha) for p in (0, 1)."""
+    """Inverse cdf: m + s*(-ln p)^(-1/alpha) for p in (0, 1); DomainError where it overflows float64."""
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
-    return d.location + d.scale * (-math.log(p)) ** (-1.0 / d.alpha)
+    try:
+        x = d.location + d.scale * (-math.log(p)) ** (-1.0 / d.alpha)
+    except OverflowError:  # the power
+        x = math.inf
+    if x == math.inf:
+        raise DomainError(
+            f"the quantile at p = {p!r} overflows float64 at location {d.location!r}, "
+            f"scale {d.scale!r} and alpha {d.alpha!r}"
+        )
+    return x
 
 
 # Coefficients per table: all that _scaled reads at k u = 1/2, its longest sum
@@ -248,7 +257,8 @@ def _scaled(alpha: float, k: int) -> tuple:
     _MAX_SERIES_ORDER, it is the binomial sum
     mu_k = sum_p C(k,p) (-Omega_1)^(k-p) Omega_p, whose k + 1 alternating terms
     round to about eps (k + 1) sum|term|; where that bound exceeds _MAX_ROUNDING
-    of |mu_k| it raises PrecisionLossError.
+    of |mu_k|, or a term or the sum overflows float64, it raises
+    PrecisionLossError.
     """
     if alpha >= 2 * k and k <= _MAX_SERIES_ORDER:
         u = 1.0 / alpha
@@ -258,13 +268,16 @@ def _scaled(alpha: float, k: int) -> tuple:
         return s, 0.0
     omega1 = _omega(alpha, 1)
     total = magnitude = 0.0
-    for p in range(k + 1):
-        omega_p = 1.0 if p == 0 else _omega(alpha, p)
-        term = math.comb(k, p) * omega1 ** (k - p) * omega_p
-        total += term if (k - p) % 2 == 0 else -term
-        magnitude += term  # every term is positive
+    try:
+        for p in range(k + 1):
+            omega_p = 1.0 if p == 0 else _omega(alpha, p)
+            term = math.comb(k, p) * omega1 ** (k - p) * omega_p
+            total += term if (k - p) % 2 == 0 else -term
+            magnitude += term  # every term is positive
+    except OverflowError:  # a binomial coefficient beyond float64, which the check below rejects
+        total = math.nan
     rounding = math.ulp(1.0) * (k + 1) * magnitude
-    if rounding > _MAX_ROUNDING * abs(total):
+    if not rounding <= _MAX_ROUNDING * abs(total):  # a nan sum too, where the terms overflow
         raise PrecisionLossError(
             f"centered moment of order {k} at alpha = {alpha} is lost to cancellation: "
             f"the binomial sum of Gamma values keeps fewer than 6 reliable digits"

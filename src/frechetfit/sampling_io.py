@@ -11,11 +11,11 @@ columns), written with 17 significant digits for lossless round trips.
 Both ways, plain decimal lines go through numpy array operations that
 round exactly as format() and float() do.
 
-_Moments merges the moments of a sample one block of _CHUNK values at a
-time, wherever the values come from: so sample_stats of an array,
-file_stats of a file and the moments that sample_to_file returns agree bit
-for bit on the same values.  SamplerConfig is a typing.NamedTuple that checks
-its count and seed in __new__, as frechet.FrechetParams checks its fields.
+One loop, _Moments, merges the moments of arrays (sample_stats), files
+(file_stats) and drawn samples (sample_to_file) one block of _CHUNK
+values at a time, so all three agree bit for bit on the same values.
+SamplerConfig is a typing.NamedTuple that checks its count and seed in
+__new__, as frechet.FrechetParams checks its fields.
 """
 
 import io
@@ -39,25 +39,30 @@ _CHUNK = 1 << 15
 # Values per _format_fixed call and per fh.write of the writer: a half block
 # halves every row of its workspace, and formats as fast per value
 _WRITE_CHUNK = _CHUNK // 2
+# _Moments' input: blocks, each with two scratch rows as long (the first may be the block)
+_Blocks = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 class _Moments:
-    """Count, mean and central sums M2, M3, M4 of blocks of values added in order.
+    """Count, mean and central sums M2, M3, M4 of `blocks`, merged in order.
 
-    add() takes a block's mean as c + mean(block - c), c its first value, so
-    equal values give their value and deviations of exactly 0 at any
-    magnitude; it sums the powers of the deviations from that mean, corrected
-    by their own mean, and merges them into the running sums by the pairwise
-    update of Chan, Golub and LeVeque (1983) and Pebay (SAND2008-6212).
-    Every block but the last holds _CHUNK values, so equal values in equal
-    blocks give equal moments, whether the blocks are slices of one array,
-    drawn one at a time or read from a file.  sample_stats gives the errors.
+    The one loop that merges arrays (sample_stats), files (_file_blocks)
+    and drawn samples (_written).  add() takes a block's mean as
+    c + mean(block - c), c its first value, so equal values give their
+    value and deviations of exactly 0 at any magnitude; it sums the powers
+    of the deviations from that mean, corrected by their own mean, and
+    merges them into the running sums by the pairwise update of Chan,
+    Golub and LeVeque (1983) and Pebay (SAND2008-6212).  Every block but
+    the last holds _CHUNK values, so equal values in equal blocks give
+    equal moments wherever they come from.  sample_stats gives the errors.
     """
 
-    def __init__(self):
+    def __init__(self, blocks: _Blocks):
         self.count = 0
         self.mean = self.m2 = self.m3 = self.m4 = 0.0
         self.finite = True  # no value added is a nan or an infinity
+        for block, d, d2 in blocks:
+            self.add(block, d, d2)
 
     def add(self, block, d, d2) -> None:
         """Merge in the float64 array `block`; d and d2, as long, are overwritten (d may be block)."""
@@ -125,22 +130,19 @@ class _Moments:
 def sample_stats(data: Sequence[float]) -> SampleStats:
     """Empirical moments; see SampleStats for the exact estimators.
 
-    The values are merged into _Moments one block of _CHUNK values at a
-    time, in two buffers of a block that every block reuses; file_stats
-    reads a file in the same blocks, so it gives sample_stats(read_samples(f))
-    bit for bit.  Against exact rational sums the mean and the central
-    moments up to order 4 were within 7e-16 of theirs, relative, at alpha
-    3.5 to 1000 (70000 values); a location far above the spread costs more,
-    1.5e-13 for the variance at location 1e6 and scale 1.  A nan or an
-    infinity, or central moments that overflow float64, raise DomainError.
+    _Moments merges the array's slices of _CHUNK values, in two scratch
+    rows that every slice reuses; file_stats and sample_to_file feed it
+    their blocks, so they give this bit for bit.  Against exact rational
+    sums the mean and the central moments up to order 4 were within 7e-16
+    of theirs, relative, at alpha 3.5 to 1000 (70000 values); a location
+    far above the spread costs more, 1.5e-13 for the variance at location
+    1e6 and scale 1.  A nan or an infinity, or central moments that
+    overflow float64, raise DomainError.
     """
     x = np.asarray(data, dtype=np.float64).reshape(-1)
-    moments = _Moments()
-    buffers = np.empty((2, min(x.size, _CHUNK)))
-    for start in range(0, x.size, _CHUNK):
-        block = x[start:start + _CHUNK]
-        moments.add(block, *buffers[:, :block.size])
-    return moments.stats()
+    d, d2 = np.empty((2, min(x.size, _CHUNK)))
+    blocks = (x[start:start + _CHUNK] for start in range(0, x.size, _CHUNK))
+    return _Moments((b, d[:b.size], d2[:b.size]) for b in blocks).stats()
 
 
 class _SamplerConfigFields(NamedTuple):
@@ -530,8 +532,8 @@ def _plain_groups(fh: BinaryIO, ws: _LineWorkspace, held: int) -> Iterator[np.nd
             return
 
 
-def _file_blocks(fh: BinaryIO, column: Optional[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The values of the stream fh in _read's blocks, each with a scratch row as long.
+def _file_blocks(fh: BinaryIO, column: Optional[str]) -> _Blocks:
+    """The values of fh in blocks of _CHUNK (the last may be shorter), each as (block, block, scratch) for _Moments.
 
     The plain route parses groups of lines into one buffer that holds a
     block and the start of the next; a group turned back is parsed again
@@ -561,7 +563,7 @@ def _file_blocks(fh: BinaryIO, column: Optional[str]) -> Iterator[tuple[np.ndarr
                 at += int(nl[-1] - nl[0])
                 lineno += nl.size - 1
                 if filled >= _CHUNK:
-                    yield block[:_CHUNK], scratch[:_CHUNK]
+                    yield block[:_CHUNK], block[:_CHUNK], scratch[:_CHUNK]
                     filled -= _CHUNK
                     block[:filled] = block[_CHUNK:_CHUNK + filled]
             scan = False
@@ -579,18 +581,18 @@ def _file_blocks(fh: BinaryIO, column: Optional[str]) -> Iterator[tuple[np.ndarr
                     block[filled:filled + got.size] = got
                     filled += got.size
                     if filled == _CHUNK:
-                        yield block[:_CHUNK], scratch[:_CHUNK]
+                        yield block[:_CHUNK], block[:_CHUNK], scratch[:_CHUNK]
                         filled = 0
             except ParseError:
                 while text.read(_READ):  # a byte that does not decode, anywhere, comes first
                     pass
                 raise
     if filled:
-        yield block[:filled], scratch[:filled]
+        yield block[:filled], block[:filled], scratch[:filled]
 
 
 def _read(path: Union[str, Path], column: Optional[str], consume: Callable):
-    """consume(blocks) for the file at `path`, read once: blocks of _CHUNK values (the last may be shorter).
+    """consume(_file_blocks(fh, column)) for the file at `path`, read once.
 
     consume may overwrite each block and its scratch row.  A pipe is read
     whole first, so that the plain route can hand over to _scan by a seek.
@@ -602,22 +604,14 @@ def _read(path: Union[str, Path], column: Optional[str], consume: Callable):
         raise ParseError(f"{path} is not valid {exc.encoding} text: {exc.reason}") from None
 
 
-def _array(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def _array(blocks: _Blocks) -> np.ndarray:
     """The blocks' values in one array, grown in place by each block."""
     x = np.empty(0)
-    for block, _ in blocks:
+    for block, _, _ in blocks:
         n = x.size
         x.resize(n + block.size, refcheck=False)
         x[n:] = block
     return x
-
-
-def _merged(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> _Moments:
-    """The blocks merged into _Moments, each in place with its scratch row."""
-    moments = _Moments()
-    for block, scratch in blocks:
-        moments.add(block, block, scratch)
-    return moments
 
 
 def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.ndarray:
@@ -650,12 +644,11 @@ def file_stats(path: Union[str, Path], column: Optional[str] = None) -> SampleSt
     """sample_stats(read_samples(path, column)), bit for bit, without holding the sample.
 
     The file takes read_samples' routes and raises its errors, then
-    sample_stats' errors.  Each block of _CHUNK values that either route
-    gives, counted from the first value, is merged into the moments
-    (_Moments) in place: the blocks that sample_stats takes of the array,
-    whichever route read their values.
+    sample_stats' errors.  _Moments merges in place each block of _CHUNK
+    values that either route gives, counted from the first value: the
+    blocks that sample_stats takes of the array.
     """
-    moments = _read(path, column, _merged)
+    moments = _read(path, column, _Moments)
     if moments.count == 0:
         raise EmptyInputError(f"no data values found in {path}")
     return moments.stats()
@@ -930,28 +923,23 @@ def _may_overflow(config: SamplerConfig) -> bool:
     return not math.isfinite(256.0 * config.count**2 * w * w)
 
 
-def _stream(config: SamplerConfig, x: np.ndarray, ws: _Workspace, fh: Optional[BinaryIO]) -> _Moments:
-    """The moments of sample(config), each block drawn into x and, where fh is given, written to it.
-
-    The merge overwrites the block, once it is written, and ws.spare.
-    """
-    moments = _Moments()
+def _written(config: SamplerConfig, x: np.ndarray, ws: _Workspace, fh: Optional[BinaryIO]) -> _Blocks:
+    """sample(config)'s blocks drawn into x and written to fh (if given), each as (b, b, ws.spare) for _Moments."""
     for b in _blocks(config, x):
         if fh is not None:
             _write(fh, b, ws)
-        moments.add(b, b, ws.spare[:b.size])
-    return moments
+        yield b, b, ws.spare[:b.size]
 
 
-def sample_to_file(path: Union[str, Path], config: SamplerConfig) -> _Moments:
-    """write_samples(path, sample(config)) without holding the sample; returns its moments.
+def sample_to_file(path: Union[str, Path], config: SamplerConfig) -> Optional[SampleStats]:
+    """write_samples(path, sample(config)) without holding the sample; returns sample_stats of it.
 
     Each block of _CHUNK values is drawn into one buffer, written half a
     block at a time as write_samples writes, in one workspace of about
-    1.6 MB, and then merged in place into _Moments, with the workspace as
-    scratch; so the file's bytes are those of write_samples and the
-    moments' stats() is sample_stats(sample(config)), bit for bit.  A
-    draw that overflows, or for a count of at least 2 a spread that
+    1.6 MB, and then merged in place by _Moments, with the workspace as
+    scratch; so the file's bytes are those of write_samples and the stats
+    are sample_stats(sample(config)) bit for bit (None for a count of 1).
+    A draw that overflows, or for a count of at least 2 a spread that
     overflows the moments, raises DomainError before the file is opened, as
     sample and sample_stats do before write_samples: where _may_overflow
     says either could happen, a check pass draws and merges every block
@@ -960,8 +948,9 @@ def sample_to_file(path: Union[str, Path], config: SamplerConfig) -> _Moments:
     x = np.empty(min(config.count, _CHUNK))
     ws = _Workspace(min(config.count, _WRITE_CHUNK))
     if _may_overflow(config):
-        checked = _stream(config, x, ws, None)
-        if checked.count >= 2:
+        checked = _Moments(_written(config, x, ws, None))  # DomainError where a draw overflows
+        if config.count >= 2:
             checked.stats()  # DomainError where the spread overflows
     with open(path, "wb") as fh:
-        return _stream(config, x, ws, fh)
+        moments = _Moments(_written(config, x, ws, fh))
+    return moments.stats() if config.count >= 2 else None

@@ -115,16 +115,21 @@ def gamma_laurent(z: float, order: int = 2) -> float:
     """Truncated expansion of Gamma(z) around its pole at z = 0.
 
     order=1 keeps terms through z, order=2 through z^2.  Accuracy is only
-    meaningful for |z| < 1; the remainder is O(z^(order+1)).
+    meaningful for |z| < 1; the remainder is O(z^(order+1)).  A non-finite
+    z raises DomainError, and a value beyond float64 GammaRangeError.
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order!r}")
+    if not math.isfinite(z):
+        raise DomainError(f"gamma_laurent requires a finite argument, got {z!r}")
     if z == 0.0:
         raise DomainError("gamma_laurent is singular at z = 0")
     c = LAURENT
     result = c.c_minus1 / z + c.c0 + c.c1 * z
     if order == 2:
         result += c.c2 * z * z
+    if not math.isfinite(result):
+        raise GammaRangeError(f"gamma_laurent({z}) overflows 64-bit floating point")
     return result
 
 
@@ -132,12 +137,17 @@ def gamma_plus_one_taylor(z: float, order: int = 3) -> float:
     """Taylor polynomial of Gamma(z+1) about z = 0, truncated after z^order.
 
     Follows from z*Gamma(z) applied to the pole expansion, so the
-    coefficients are 1, -gamma, c1, c2 in increasing powers.
+    coefficients are 1, -gamma, c1, c2 in increasing powers.  A non-finite
+    z raises DomainError, and a value beyond float64 GammaRangeError.
     """
     if order not in (2, 3):
         raise DomainError(f"order must be 2 or 3, got {order!r}")
+    if not math.isfinite(z):
+        raise DomainError(f"gamma_plus_one_taylor requires a finite argument, got {z!r}")
     c = LAURENT
     result = c.c_minus1 + c.c0 * z + c.c1 * z * z
     if order == 3:
         result += c.c2 * z * z * z
+    if not math.isfinite(result):
+        raise GammaRangeError(f"gamma_plus_one_taylor({z}) overflows 64-bit floating point")
     return result

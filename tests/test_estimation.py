@@ -587,6 +587,14 @@ class TestFitLocationScale:
         with pytest.raises(DegenerateFitError, match=r"12\*sqrt\(6\)\*zeta\(3\)/pi\^3 = 1\.1395471"):
             fit_location_scale(stats)
 
+    def test_skewness_above_every_alpha_names_the_bound(self):
+        # the skewness tends to infinity as alpha falls to 3: no alpha in
+        # [3 + 1e-9, 1e9] reaches 1e12
+        stats = SampleStats(count=100, mean=0.0, variance=1.0, skewness=1e12, excess_kurtosis=0.0)
+        with pytest.raises(DegenerateFitError) as exc:
+            fit_location_scale(stats)
+        assert str(exc.value) == "sample skewness 1000000000000.0 requires alpha <= 3"
+
     def test_rejects_nonpositive_skewness(self):
         stats = SampleStats(count=100, mean=0.0, variance=1.0, skewness=-1.0, excess_kurtosis=0.0)
         with pytest.raises(DegenerateFitError):

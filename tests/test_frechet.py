@@ -31,6 +31,7 @@ from frechetfit import (
 from frechetfit import frechet
 from frechetfit import special_functions as sf
 from frechetfit.checks import centered_moment_quad, quad_full, raw_moment_quad
+from oracles import frechet_moments
 
 STD = FrechetParams(0.0, 1.0, 2.0)
 
@@ -152,6 +153,16 @@ class TestQuantile:
         with pytest.raises(DomainError):
             quantile(STD, p)
 
+    @pytest.mark.parametrize("d, p", [
+        (FrechetParams(0.0, 1.0, 0.01), 1.0 - 1e-16),  # the power overflows
+        (FrechetParams(0.0, 1e308, 1.0), 0.9),  # the scale times it does
+    ])
+    def test_overflow_is_a_domain_error(self, d, p):
+        with pytest.raises(DomainError) as exc:
+            quantile(d, p)
+        assert str(exc.value) == (f"the quantile at p = {p!r} overflows float64 at location "
+                                  f"{d.location!r}, scale {d.scale!r} and alpha {d.alpha!r}")
+
     @pytest.mark.parametrize("p", [1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6])
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0, 10.0])
     def test_round_trip(self, p, alpha):
@@ -218,15 +229,6 @@ class TestCenteredMoment:
             ref = centered_moment_quad(alpha, k)
             assert centered_moment(shape, k) == pytest.approx(ref, rel=1e-7)
 
-    @staticmethod
-    def _mpmath_moments(alpha, k):
-        # E[X^k] and E[(X - mu1)^k]; the binomial sum cancels about k digits
-        with mp.workdps(60 + k):
-            a = mp.mpf(alpha)
-            om = [mp.gamma(1 - p / a) for p in range(k + 1)]
-            ref = mp.fsum(mp.binomial(k, p) * (-om[1]) ** (k - p) * om[p] for p in range(k + 1))
-        return float(om[k]), float(ref)
-
     @pytest.mark.parametrize("alpha", [2.01, 2.5, 3.05, 12.0, 25.0, 40.0, 200.0, 1000.0, 1e4])
     def test_quadrature_oracle_against_mpmath(self, alpha):
         # the oracles themselves, not the library: the integrand (x - mu1)^k
@@ -235,7 +237,7 @@ class TestCenteredMoment:
         # beyond the nodes; and from alpha 200 on an integrand in s = 1/x
         # narrows as 1/alpha below the finest step
         for k in range(2, min(13, math.ceil(alpha))):
-            raw, centered = self._mpmath_moments(alpha, k)
+            raw, centered, _ = frechet_moments(alpha, k)
             assert raw_moment_quad(alpha, k) == pytest.approx(raw, rel=1e-12, abs=0.0)
             assert centered_moment_quad(alpha, k) == pytest.approx(centered, rel=1e-12, abs=0.0)
 
@@ -244,7 +246,7 @@ class TestCenteredMoment:
         # at the top order just below alpha the centered integrand falls off
         # towards z = 0 only as z^((alpha-k+1)/alpha)
         k = math.ceil(alpha) - 1
-        raw, centered = self._mpmath_moments(alpha, k)
+        raw, centered, _ = frechet_moments(alpha, k)
         assert raw_moment_quad(alpha, k) == pytest.approx(raw, rel=1e-12, abs=0.0)
         assert centered_moment_quad(alpha, k) == pytest.approx(centered, rel=1e-12, abs=0.0)
 
@@ -359,8 +361,8 @@ class TestVariance:
 
     def test_ten_digits_at_alpha_100(self):
         # stabilized path must keep >= 10 significant digits at alpha = 100
-        mp.mp.dps = 40
-        ref = mp.gamma(1 - mp.mpf(2) / 100) - mp.gamma(1 - mp.mpf(1) / 100) ** 2
+        with mp.workdps(40):
+            ref = mp.gamma(1 - mp.mpf(2) / 100) - mp.gamma(1 - mp.mpf(1) / 100) ** 2
         got = shape_variance(100.0)
         assert abs(got - float(ref)) / float(ref) < 1e-10
 
@@ -384,20 +386,11 @@ def _kernel_grid(k):
 
 
 class TestSeriesKernel:
-    @staticmethod
-    def reference(alpha, k):
-        # the binomial sum cancels about 8k digits at alpha = 1e8
-        with mp.workdps(30 + 8 * k):
-            a = mp.mpf(alpha)
-            om = [mp.gamma(1 - p / a) for p in range(k + 1)]
-            mu = lambda q: sum(mp.binomial(q, p) * (-om[1]) ** (q - p) * om[p] for p in range(q + 1))
-            return mu(k), mu(k) / mu(2) ** (mp.mpf(k) / 2)
-
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_twelve_digits_against_mpmath(self, k):
         for alpha in _kernel_grid(k):
             shape = FrechetShape(alpha)
-            centered, normalized = self.reference(alpha, k)
+            _, centered, normalized = frechet_moments(alpha, k)
             assert abs(centered_moment(shape, k) - centered) <= 1e-12 * abs(centered), alpha
             got = normalized_centered_moment(shape, k)
             assert abs(got - normalized) <= 1e-12 * abs(normalized), alpha
@@ -407,7 +400,7 @@ class TestSeriesKernel:
         # measured worst 1.1e-13 (k = 7); below alpha = 2k the binomial sum
         # loses more, see the next test
         for alpha in (2.0 * k * (1e8 / (2.0 * k)) ** (i / 20) for i in range(21)):
-            _, normalized = self.reference(alpha, k)
+            _, _, normalized = frechet_moments(alpha, k)
             got = normalized_centered_moment(FrechetShape(alpha), k)
             assert abs(got - normalized) <= 1e-11 * abs(normalized), alpha
 
@@ -417,13 +410,9 @@ class TestSeriesKernel:
     def test_higher_orders_on_the_binomial_side(self, k, bound):
         lo = k + 0.01
         for alpha in (lo * (2.0 * k / lo) ** (i / 40) for i in range(40)):
-            with mp.workdps(int(k * math.log10(alpha)) + 50):
-                a = mp.mpf(alpha)
-                om = [mp.gamma(1 - p / a) for p in range(k + 1)]
-                mu = lambda q: mp.fsum(mp.binomial(q, p) * (-om[1]) ** (q - p) * om[p] for p in range(q + 1))
-                normalized = mu(k) / mu(2) ** (mp.mpf(k) / 2)
-                got = normalized_centered_moment(FrechetShape(alpha), k)
-                assert abs(got - normalized) <= bound * abs(normalized), alpha
+            _, _, normalized = frechet_moments(alpha, k)
+            got = normalized_centered_moment(FrechetShape(alpha), k)
+            assert abs(got - normalized) <= bound * abs(normalized), alpha
 
     @pytest.mark.parametrize("k", range(2, 21))
     def test_the_longest_sum_reads_the_whole_table(self, k):
@@ -469,13 +458,6 @@ class TestSeriesKernel:
 
 
 class TestPrecisionLoss:
-    @staticmethod
-    def reference(alpha, k):
-        with mp.workdps(40 + 9 * k):
-            a = mp.mpf(alpha)
-            om = [mp.gamma(1 - p / a) for p in range(k + 1)]
-            return sum(mp.binomial(k, p) * (-om[1]) ** (k - p) * om[p] for p in range(k + 1))
-
     @pytest.mark.parametrize("k", [9, 12, 16, 20, 21, 25, 30])
     def test_every_returned_moment_keeps_its_digits(self, k):
         # the binomial side (alpha < 2k, and every alpha above order 20) either
@@ -490,7 +472,7 @@ class TestPrecisionLoss:
             except PrecisionLossError:
                 continue
             returned += 1
-            ref = self.reference(alpha, k)
+            _, ref, _ = frechet_moments(alpha, k)
             assert abs(got - ref) <= 1e-7 * abs(ref), alpha
         assert returned == {9: 12, 12: 9, 16: 5, 20: 3}.get(k, 1)
 
@@ -519,12 +501,8 @@ class TestPrecisionLoss:
                     got = centered_moment(FrechetShape(alpha), k)
                 except PrecisionLossError:
                     continue
-                with mp.workdps(int(k * math.log10(alpha)) + 50):
-                    a = mp.mpf(alpha)
-                    omega1 = mp.gamma(1 - 1 / a)
-                    ref = mp.fsum(mp.binomial(k, p) * (-omega1) ** (k - p) * mp.gamma(1 - p / a)
-                                  for p in range(k + 1))
-                worst = max(worst, float(abs(got / ref - 1)))
+                _, ref, _ = frechet_moments(alpha, k)
+                worst = max(worst, abs(got / ref - 1))
         assert worst <= bound
 
     def test_next_to_the_pole(self):
@@ -534,15 +512,24 @@ class TestPrecisionLoss:
         worst_centered = worst_raw = 0.0
         for k in range(2, 31):
             shape = FrechetShape(k * (1 + 1e-6))
-            with mp.workdps(int(k * math.log10(shape.alpha)) + 50):
-                a = mp.mpf(shape.alpha)
-                omega = [mp.gamma(1 - p / a) for p in range(k + 1)]
-                ref = mp.fsum(mp.binomial(k, p) * (-omega[1]) ** (k - p) * omega[p] for p in range(k + 1))
-                worst_centered = max(worst_centered, float(abs(centered_moment(shape, k) / ref - 1)))
-                worst_raw = max(worst_raw, float(abs(raw_moment(shape, k) / omega[k] - 1)))
+            raw, centered, _ = frechet_moments(shape.alpha, k)
+            worst_centered = max(worst_centered, abs(centered_moment(shape, k) / centered - 1))
+            worst_raw = max(worst_raw, abs(raw_moment(shape, k) / raw - 1))
             report = moment_report(shape, k)
             assert report.raw == raw_moment(shape, k) and report.centered == centered_moment(shape, k)
         assert worst_centered <= 2e-13 and worst_raw <= 2e-15
+
+    # the binomial sum's partial sums overflow to nan (order 1029 at alpha
+    # 1031), or a binomial coefficient overflows float64 (from order 1030)
+    @pytest.mark.parametrize("alpha, k", [(1031.0, 1029), (1031.0, 1030), (5000.0, 1030), (1e9, 1100)])
+    def test_orders_beyond_float64_raise(self, alpha, k):
+        shape = FrechetShape(alpha)
+        with pytest.raises(PrecisionLossError, match=f"order {k} at alpha = {alpha}"):
+            centered_moment(shape, k)
+        with pytest.raises(PrecisionLossError):
+            normalized_centered_moment(shape, k)
+        r = moment_report(shape, k)
+        assert r.defined and r.raw is not None and r.centered is None and r.normalized is None
 
     @pytest.mark.parametrize("k", range(21, 31))
     def test_high_orders_at_large_alpha_raise(self, k):

@@ -380,7 +380,7 @@ class TestReadSamples:
         assert x.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
     # plain lines past the first read of _plain_groups and the first block of
-    # _plain_blocks, before the line under test
+    # _file_blocks, before the line under test
     LEAD = "1.0\n" * (max(_CHUNK, sampling_io._READ) // 4 + 10)
 
     @pytest.mark.parametrize(
@@ -556,6 +556,17 @@ class TestFileStats:
         else:  # the scanner goes on from the first line of the late line's group
             assert len(scans) == 2 and x.size + 1 - sampling_io._LINES < scans[0] <= x.size + 1
 
+    def test_line_longer_than_a_read_after_line_1(self, tmp_path, monkeypatch):
+        # the plain route holds at most a read of a line; the scanner reads on
+        # from the longer line 3, a decimal of 200 KiB
+        p = tmp_path / "long.txt"
+        p.write_text("1.5\n2.5\n" + "1." + "0" * ((200 << 10) - 2) + "\n3.5\n")
+        assert (200 << 10) > sampling_io._READ
+        scans = record_scans(monkeypatch)
+        assert read_samples(p).tolist() == [1.5, 2.5, 1.0, 3.5]
+        assert scans == [3]
+        self.assert_same(p)
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_reads_pipe(self):
         r, w = os.pipe()
@@ -569,7 +580,7 @@ class TestFileStats:
 
 
 class TestSampleToFile:
-    """sample_to_file(p, c) writes write_samples(p, sample(c)) and returns its moments."""
+    """sample_to_file(p, c) writes write_samples(p, sample(c)) and returns sample_stats of it."""
 
     @pytest.mark.parametrize("count", [1, 2, 3, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1,
                                        _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
@@ -578,16 +589,16 @@ class TestSampleToFile:
         c = config(alpha=alpha, m=m, s=s, seed=count, count=count)
         assert sampling_io._may_overflow(c) == (alpha < 1)  # the check pass runs
         streamed, expected = tmp_path / "streamed.txt", tmp_path / "expected.txt"
-        moments = sampling_io.sample_to_file(streamed, c)
+        stats = sampling_io.sample_to_file(streamed, c)
         x = sample(c)
         write_samples(expected, x)
         assert streamed.read_bytes() == expected.read_bytes()
-        assert moments.count == count
         if count == 1:
+            assert stats is None
             with pytest.raises(FrechetFitError):
                 sample_stats(x)
         else:
-            assert repr(moments.stats()) == repr(sample_stats(x))
+            assert repr(stats) == repr(sample_stats(x))
 
 
 class TestWriteReadRoundTrip:

@@ -21,6 +21,16 @@ from oracles import euler_gamma_series, zeta2_series, zeta3_series
 _GAMMA_LAST_FINITE = 171.62437695630272
 
 
+def assert_outcome(f, z, expected):
+    """f(z) is `expected`, or raises an error of its type and message: the outcome on each side of a check."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            f(z)
+        assert str(exc.value) == str(expected)
+    else:
+        assert f(z) == expected
+
+
 class TestConstants:
     def test_euler_gamma_bounds(self):
         assert 0.57721566490153 < CONSTANTS.euler_gamma < 0.57721566490154
@@ -102,13 +112,7 @@ class TestGamma:
         (-5e-324, GammaRangeError("gamma(-5e-324) overflows 64-bit floating point")),
     ])
     def test_edges_of_the_domain(self, z, expected):
-        # the value, or the error type and message, on each side of every check
-        if isinstance(expected, Exception):
-            with pytest.raises(type(expected)) as exc:
-                gamma(z)
-            assert str(exc.value) == str(expected)
-        else:
-            assert gamma(z) == expected
+        assert_outcome(gamma, z, expected)
 
     def test_overflow_range_error(self):
         with pytest.raises(GammaRangeError):
@@ -197,3 +201,28 @@ class TestGammaPlusOneTaylor:
     def test_bad_order_rejected(self):
         with pytest.raises(DomainError):
             gamma_plus_one_taylor(0.1, 4)
+
+
+def _laurent_value(z):
+    return LAURENT.c_minus1 / z + LAURENT.c0 + LAURENT.c1 * z + LAURENT.c2 * z * z
+
+
+def _taylor_value(z):
+    return LAURENT.c_minus1 + LAURENT.c0 * z + LAURENT.c1 * z * z + LAURENT.c2 * z * z * z
+
+
+@pytest.mark.parametrize("f, z, expected", [
+    (gamma_laurent, math.nan, DomainError("gamma_laurent requires a finite argument, got nan")),
+    (gamma_laurent, -math.inf, DomainError("gamma_laurent requires a finite argument, got -inf")),
+    (gamma_laurent, 1e-300, _laurent_value(1e-300)),
+    (gamma_laurent, 5e-324, GammaRangeError("gamma_laurent(5e-324) overflows 64-bit floating point")),
+    (gamma_laurent, 1e100, _laurent_value(1e100)),
+    (gamma_laurent, 1e200, GammaRangeError("gamma_laurent(1e+200) overflows 64-bit floating point")),
+    (gamma_plus_one_taylor, math.inf, DomainError("gamma_plus_one_taylor requires a finite argument, got inf")),
+    (gamma_plus_one_taylor, 1e100, _taylor_value(1e100)),
+    (gamma_plus_one_taylor, 1e200, GammaRangeError("gamma_plus_one_taylor(1e+200) overflows 64-bit floating point")),
+])
+def test_expansions_at_the_edges_of_float64(f, z, expected):
+    # as gamma's edges: a non-finite z is a domain error, a finite z whose
+    # expansion is not finite (inf, -inf or nan) a range error
+    assert_outcome(f, z, expected)
