@@ -64,11 +64,11 @@ def _fmt(x, digits: int = 10) -> str:
 
 
 def _emit(fmt: str, payload, *parts) -> None:
-    """Print a command's output: in json the payload; in table and csv each part
-    in order, a str as a note ("# " comment in csv) and a list of rows, header
-    first, as a table."""
+    """Print a command's output: in json the payload, after schema_version; in
+    table and csv each part in order, a str as a note ("# " comment in csv)
+    and a list of rows, header first, as a table."""
     if fmt == "json":
-        print(json.dumps(_json_value(payload), indent=2))
+        print(json.dumps(_json_value({"schema_version": SCHEMA_VERSION, **payload}), indent=2))
         return
     for part in parts:
         if isinstance(part, str):
@@ -100,7 +100,6 @@ def _cmd_moments(args) -> int:
             _fmt(r.normalized) if r.defined else undefined,
         ])
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "alpha": args.alpha,
         "moments": [r._asdict() for r in reports],
         "skewness": skew,
@@ -109,14 +108,6 @@ def _cmd_moments(args) -> int:
     _emit(args.format, payload, rows,
           f"skewness         {_fmt(skew)}", f"excess kurtosis  {_fmt(kurt)}")
     return 0
-
-
-def _estimate_one(method: str, v: float, tol: float):
-    if method == "order1":
-        return alpha_order1(v)
-    if method == "order2":
-        return alpha_order2(v)
-    return alpha_exact(v, tol=tol)
 
 
 def _cmd_estimate(args) -> int:
@@ -132,15 +123,17 @@ def _cmd_estimate(args) -> int:
         notes.append(f"sample count {stats.count}, mean {_fmt(stats.mean)}, variance {_fmt(v)}")
     else:
         v = args.variance
-    methods = ["order1", "order2", "exact"] if args.method == "all" else [args.method]
-    results = [_estimate_one(m, v, args.tol) for m in methods]
+    # built per call, so that an estimator patched on this module runs
+    estimators = {"order1": alpha_order1, "order2": alpha_order2,
+                  "exact": lambda v: alpha_exact(v, tol=args.tol)}
+    methods = list(estimators) if args.method == "all" else [args.method]
+    results = [estimators[m](v) for m in methods]
 
     rows = [["method", "alpha", "residual", "iterations"]] + [
         [r.method.value, _fmt(r.alpha), _fmt(r.residual, 6), str(r.iterations)]
         for r in results
     ]
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "variance": v,
         "sample": sample_info,
         "estimates": [
@@ -161,7 +154,6 @@ def _cmd_sample(args) -> int:
     config = SamplerConfig(seed=args.seed, count=args.count, params=params)
     stats = sample_to_file(args.output, config)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "output": args.output,
         "count": args.count,
         "seed": args.seed,
@@ -181,15 +173,14 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _table_rows(order2: bool):
+def _table_rows(estimate, printed):
+    """One row per reference alpha: `estimate` at its variance, rounded as the printed value is."""
     rows = []
-    printed = _TABLE_PRINTED_ORDER2 if order2 else _TABLE_PRINTED_ORDER1
     for alpha, printed_val in zip(_TABLE_ALPHAS, printed):
         v = shape_variance(alpha)
-        est = (alpha_order2 if order2 else alpha_order1)(v)
+        est = estimate(v)
         exact = alpha_exact(v)
-        decimals = 3 if order2 and alpha == 100.0 else 2
-        rounded = format(est.alpha, f".{decimals}f")
+        rounded = format(est.alpha, f".{len(printed_val.partition('.')[2])}f")
         rows.append({
             "variance": float(format(v, ".6g")),
             "alpha_exact": exact.alpha,
@@ -202,10 +193,10 @@ def _table_rows(order2: bool):
 
 
 def _cmd_tables(args) -> int:
-    t1 = _table_rows(order2=False)
-    t2 = _table_rows(order2=True)
+    t1 = _table_rows(alpha_order1, _TABLE_PRINTED_ORDER1)
+    t2 = _table_rows(alpha_order2, _TABLE_PRINTED_ORDER2)
     if args.format == "json":
-        _emit("json", {"schema_version": SCHEMA_VERSION, "order1_table": t1, "order2_table": t2})
+        _emit("json", {"order1_table": t1, "order2_table": t2})
         return 0
     for title, rows in (("order-1 estimate", t1), ("order-2 (cardano) estimate", t2)):
         print(f"# {title}")
@@ -231,10 +222,8 @@ def _cmd_check(args) -> int:
     # importing checks costs 2-3 ms, which every other command would pay
     from .checks import run_checks
 
-    grid = args.alpha_grid if args.alpha_grid else None
-    results = run_checks(grid)
+    results = run_checks(args.alpha_grid)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "checks": [
             {"name": r.name, "measured": r.measured, "bound": r.bound, "passed": r.passed}
             for r in results

@@ -280,12 +280,15 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     tangent (s - s_inf)/C1).  The chord from (0, s_inf) through
     (u0, skewness(u0)) meets s on the root's other side (also checked, not
     proven); `_root` checks both signs and widens the bracket when a bound
-    fails.  A skewness it cannot match raises DegenerateFitError.
+    fails.  A skewness it cannot match raises DegenerateFitError, as do a
+    mean or variance that is not finite and a scale that overflows float64.
     """
     if stats.count < 3:
         raise InsufficientDataError(f"need at least 3 values, got {stats.count}")
-    if not (stats.variance > 0.0):
-        raise DegenerateFitError("sample variance must be > 0")
+    if not math.isfinite(stats.mean):
+        raise DegenerateFitError(f"sample mean must be finite, got {stats.mean!r}")
+    if not (0.0 < stats.variance < math.inf):
+        raise DegenerateFitError(f"sample variance must be positive and finite, got {stats.variance!r}")
     if not (stats.skewness > 0.0) or not math.isfinite(stats.skewness):
         raise DegenerateFitError("sample skewness must be positive and finite")
 
@@ -313,5 +316,9 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
         raise DegenerateFitError(f"sample skewness {s} requires alpha <= 3")
     alpha = 1.0 / root[0]
     scale = math.sqrt(stats.variance / _centered(alpha, 2))
+    if scale == math.inf:
+        raise DegenerateFitError(
+            f"the scale sqrt(variance / mu_2) at variance {stats.variance!r} and alpha {alpha!r} overflows float64"
+        )
     location = stats.mean - scale * _omega(alpha, 1)
     return FrechetParams(location, scale, alpha)

@@ -268,12 +268,14 @@ def _scaled(alpha: float, k: int) -> tuple:
         return s, 0.0
     omega1 = _omega(alpha, 1)
     total = magnitude = 0.0
+    c = 1  # C(k, p), walked along Pascal's row exactly
     try:
         for p in range(k + 1):
             omega_p = 1.0 if p == 0 else _omega(alpha, p)
-            term = math.comb(k, p) * omega1 ** (k - p) * omega_p
+            term = c * omega1 ** (k - p) * omega_p
             total += term if (k - p) % 2 == 0 else -term
             magnitude += term  # every term is positive
+            c = c * (k - p) // (p + 1)
     except OverflowError:  # a binomial coefficient beyond float64, which the check below rejects
         total = math.nan
     rounding = math.ulp(1.0) * (k + 1) * magnitude

@@ -20,7 +20,6 @@ __new__, as frechet.FrechetParams checks its fields.
 
 import io
 import math
-import sys
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -157,9 +156,11 @@ class SamplerConfig(_Validated, _SamplerConfigFields):
     __slots__ = ()
 
     def __new__(cls, seed: int, count: int, params: FrechetParams):
+        if not isinstance(count, (int, np.integer)):
+            raise DomainError(f"count must be an integer, got {count!r}")
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count!r}")
-        if not (0 <= seed < 2**64):
+        if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         return tuple.__new__(cls, (seed, count, params))
 
@@ -312,7 +313,7 @@ def _plain_header(first: bytes, column: Optional[str]) -> bool:
 _READ = 128 << 10
 _LINES = 7168
 _TAIL = np.frombuffer(
-    b"".join((bytes(24 - n) + b"\xff" * n)[8 * j:8 * j + 8] for j in range(3) for n in range(25)), dtype=np.uint64
+    b"".join((bytes(24 - n) + b"\xff" * n)[8 * j:8 * j + 8] for j in range(3) for n in range(25)), dtype="<u8"
 ).reshape(3, 25)
 
 
@@ -321,7 +322,7 @@ class _LineWorkspace:
 
     raw holds the bytes read after 32 lead bytes, the last a newline, so
     that the 25 bytes before each line's end lie in it; words is raw as
-    aligned 64-bit words, which the parser takes as little-endian.  w, i
+    aligned little-endian 64-bit words on any machine.  w, i
     and b are scratch rows for _LINES lines, and t and flags scratch as
     long as raw.  spare is w as float64, at least _CHUNK values, free to
     use between calls of _parse_lines.  About 1.1 MB in all.
@@ -330,7 +331,7 @@ class _LineWorkspace:
     def __init__(self):
         self.raw = np.empty(32 + _READ + 8, dtype=np.uint8)
         self.raw[31] = ord("\n")
-        self.words = self.raw.view(np.uint64)
+        self.words = self.raw.view("<u8")
         self.w = np.empty(11 * _LINES, dtype=np.uint64)
         # t and flags lie in w, which a group of lines uses only after them
         self.t, self.flags = self.w.view(np.uint8)[:2 * self.raw.size].reshape(2, -1)
@@ -353,8 +354,8 @@ def _parse_lines(ws: _LineWorkspace, prev: np.ndarray, ends: np.ndarray, out: np
     N - fl(N), moves q by one ulp where it exceeds half an ulp of q.  Every
     other line, and every line at a tie or within rounding of one, goes to
     float().  Returns False where a line holds a byte of _NOT_PLAIN, or
-    where float() fails on a line (a blank one too) or gives a nan or an
-    infinity.  Only blank lines may lie between the lines given.
+    where float() fails on a line or gives a nan or an infinity.  No line
+    given may be blank; only blank lines may lie between them.
     """
     raw = ws.raw
     n = ends.size
@@ -403,7 +404,6 @@ def _parse_lines(ws: _LineWorkspace, prev: np.ndarray, ends: np.ndarray, out: np
     frac -= 1
     np.less(frac, 24, out=dotted)
     np.add(prev, 1, out=i0)
-    # t can be shorter than n where lines are blank
     np.equal(np.take(raw, i0, out=ws.t[:n], mode="clip"), ord("-"), out=neg)
     digits = np.subtract(size, dotted, out=i0)
     digits -= neg
@@ -535,38 +535,38 @@ def _plain_groups(fh: BinaryIO, ws: _LineWorkspace, held: int) -> Iterator[np.nd
 def _file_blocks(fh: BinaryIO, column: Optional[str]) -> _Blocks:
     """The values of fh in blocks of _CHUNK (the last may be shorter), each as (block, block, scratch) for _Moments.
 
-    The plain route parses groups of lines into one buffer that holds a
-    block and the start of the next; a group turned back is parsed again
-    without its blank lines, which _scan skips too.  Where the plain route
-    gives up (_NotPlain, or a group turned back twice), _scan goes on into
-    the buffer from the first line it has not taken.
+    The plain route parses each group of lines once, without its blank
+    lines, which _scan skips too, into one buffer that holds a block and
+    the start of the next.  Where the plain route gives up (_NotPlain, or a
+    group turned back), _scan goes on into the buffer from the first line it
+    has not taken.  The route is the same on every machine: _parse_lines
+    reads the bytes as little-endian words whatever the native order.
     """
     block, scratch = np.empty(_CHUNK + _LINES), None
     filled = at = 0  # the values in block; the offset of the first line not taken
     lineno, scan = 1, True  # that line's number; whether _scan reads on from there
     try:
-        if sys.byteorder == "little":  # _parse_lines takes the bytes as little-endian words
-            first = fh.readline(_READ)
-            if _plain_header(first, column):
-                at, lineno, first = len(first), 2, b""
-            ws = _LineWorkspace()
-            scratch = ws.spare
-            ws.raw[32:32 + len(first)] = np.frombuffer(first, dtype=np.uint8)
-            for nl in _plain_groups(fh, ws, len(first)):
-                prev, ends = nl[:-1], nl[1:]
-                if not _parse_lines(ws, prev, ends, block[filled:filled + ends.size]):
-                    kept = ends - prev > 1  # the lines that are not blank
-                    prev, ends = prev[kept], ends[kept]
-                    if ends.size and not _parse_lines(ws, prev, ends, block[filled:filled + ends.size]):
-                        raise _NotPlain
-                filled += ends.size
-                at += int(nl[-1] - nl[0])
-                lineno += nl.size - 1
-                if filled >= _CHUNK:
-                    yield block[:_CHUNK], block[:_CHUNK], scratch[:_CHUNK]
-                    filled -= _CHUNK
-                    block[:filled] = block[_CHUNK:_CHUNK + filled]
-            scan = False
+        first = fh.readline(_READ)
+        if _plain_header(first, column):
+            at, lineno, first = len(first), 2, b""
+        ws = _LineWorkspace()
+        scratch = ws.spare
+        ws.raw[32:32 + len(first)] = np.frombuffer(first, dtype=np.uint8)
+        for nl in _plain_groups(fh, ws, len(first)):
+            prev, ends = nl[:-1], nl[1:]
+            kept = ends - prev > 1  # the lines that are not blank
+            if not kept.all():  # copying every group costs about 3% on a file without blank lines
+                prev, ends = prev[kept], ends[kept]
+            if ends.size and not _parse_lines(ws, prev, ends, block[filled:filled + ends.size]):
+                raise _NotPlain
+            filled += ends.size
+            at += int(nl[-1] - nl[0])
+            lineno += nl.size - 1
+            if filled >= _CHUNK:
+                yield block[:_CHUNK], block[:_CHUNK], scratch[:_CHUNK]
+                filled -= _CHUNK
+                block[:filled] = block[_CHUNK:_CHUNK + filled]
+        scan = False
     except _NotPlain:
         pass
     if scan:
@@ -630,9 +630,10 @@ def read_samples(path: Union[str, Path], column: Optional[str] = None) -> np.nda
     group of lines in which the plain route meets a byte of _NOT_PLAIN (a
     comma, whitespace, a carriage return, a non-ASCII byte), a token float()
     rejects, a nan or an infinity, the line scanner reads on, and reports
-    the offending line; it reads every file on a big-endian machine.  Both
-    routes fill blocks of _CHUNK values (see _file_blocks), by which the
-    array grows in place; the scanner holds a line and a block at a time.
+    the offending line.  Every machine takes the same route for the same
+    file.  Both routes fill blocks of _CHUNK values (see _file_blocks), by
+    which the array grows in place; the scanner holds a line and a block at
+    a time.
     """
     values = _read(path, column, _array)
     if values.size == 0:

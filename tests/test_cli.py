@@ -99,6 +99,11 @@ class TestMoments:
         assert code == 0
         assert "0.1337614" in out
 
+    def test_max_order_below_2_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "moments", "--alpha", "5", "--max-order", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: --max-order must be >= 2\n"
+
     def test_undefined_markers(self, capsys):
         code, out, _ = run(capsys, "moments", "--alpha", "2", "--max-order", "4")
         assert code == 0

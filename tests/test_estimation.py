@@ -256,6 +256,26 @@ class TestSolverEvaluations:
         assert estimation._root(f, 0.125, far, 0.0, 1.0, 1e-12, 50)[0] == pytest.approx(0.5)
         assert far_points == [0.125]
 
+    def test_far_point_within_ftol_ends_the_solve(self):
+        assert estimation._root(lambda x: 0.5 - x, 0.25, lambda x, fx: 0.5, 0.0, 1.0, 1e-12, 50) == (0.5, 0.0, 2)
+
+    # regula falsi from [0, 1] on 1e-3 - x^2 crawls along the lower end until
+    # a step rounds onto it; the next point is then one ulp inside the bracket
+    SQRT_SOLVE = (lambda x: 1e-3 - x * x, 0.0, lambda x, fx: 1.0, 0.0, 1.0, 0.0)
+
+    def test_step_onto_an_end_moves_one_ulp_in(self, monkeypatch):
+        steps = []
+        nextafter = math.nextafter
+        monkeypatch.setattr(math, "nextafter", lambda x, y: steps.append(x) or nextafter(x, y))
+        x, _, evaluations = estimation._root(*self.SQRT_SOLVE, 200)
+        assert abs(x - math.sqrt(1e-3)) <= 4.0 * math.ulp(x)
+        assert evaluations == 17
+        assert len(steps) == 1
+
+    def test_iteration_budget_raises(self):
+        with pytest.raises(NoConvergenceError, match="did not converge in 2 iterations"):
+            estimation._root(*self.SQRT_SOLVE, 2)
+
     def test_fit_tolerance_covers_the_binomial_rounding(self, monkeypatch):
         # below alpha = 6 the skewness is a binomial Gamma sum, good only to its
         # rounding bound; solving to that bound instead of 8 ulps of 1/s took the
@@ -594,6 +614,24 @@ class TestFitLocationScale:
         with pytest.raises(DegenerateFitError) as exc:
             fit_location_scale(stats)
         assert str(exc.value) == "sample skewness 1000000000000.0 requires alpha <= 3"
+
+    @pytest.mark.parametrize("mean,variance,message", [
+        (math.inf, 1.0, "sample mean must be finite, got inf"),
+        (math.nan, 1.0, "sample mean must be finite, got nan"),
+        (0.0, 0.0, "sample variance must be positive and finite, got 0.0"),
+        (0.0, math.inf, "sample variance must be positive and finite, got inf"),
+    ])
+    def test_nonfinite_or_zero_moments_are_named(self, mean, variance, message):
+        stats = SampleStats(count=100, mean=mean, variance=variance, skewness=2.0, excess_kurtosis=0.0)
+        with pytest.raises(DegenerateFitError) as exc:
+            fit_location_scale(stats)
+        assert str(exc.value) == message
+
+    def test_scale_beyond_float64_is_named(self):
+        # a finite variance over the shape's mu_2 (0.027 at skewness 2) overflows
+        stats = SampleStats(count=100, mean=0.0, variance=1e308, skewness=2.0, excess_kurtosis=0.0)
+        with pytest.raises(DegenerateFitError, match=r"^the scale sqrt\(variance / mu_2\) at variance 1e\+308 and "):
+            fit_location_scale(stats)
 
     def test_rejects_nonpositive_skewness(self):
         stats = SampleStats(count=100, mean=0.0, variance=1.0, skewness=-1.0, excess_kurtosis=0.0)

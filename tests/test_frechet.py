@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from frechetfit import (
@@ -75,10 +76,12 @@ class TestPdf:
         assert f(FrechetParams(0.0, 1.0, alpha), x) == 0.0
 
     # a small alpha keeps the density finite and nonzero where y**(-1 - alpha)
-    # overflows (the first two points) or exp(-z) is subnormal (the next two);
-    # the last is past the largest float
+    # overflows (the first two points, and the last, where y is a normal
+    # float and the power raises) or exp(-z) is subnormal (the third and
+    # fourth); the fifth is past the largest float
     @pytest.mark.parametrize("alpha,x", [
         (0.001, 1e-310), (0.005, 1e-309), (0.0089, 1e-323), (0.0095, 1e-302), (0.001, 5e-324),
+        (0.005, 1e-307),
     ])
     def test_small_alpha_just_above_location(self, alpha, x):
         with mp.workdps(50):
@@ -594,6 +597,11 @@ class TestIntegerOrders:
 
     def test_raw_moment_takes_a_real_order(self):
         assert raw_moment(FrechetShape(10.0), 2.5) == math.gamma(0.75)
+
+    @pytest.mark.parametrize("f", [centered_moment, moment_report], ids=lambda f: f.__name__)
+    def test_integral_orders_give_the_int_values(self, f):
+        shape = FrechetShape(10.0)
+        assert f(shape, 3.0) == f(shape, np.int64(3)) == f(shape, 3)
 
     def test_integral_orders_give_the_int_values_in_a_fresh_process(self):
         # the kernels' tables are cached by order: a float key 3.0 used to

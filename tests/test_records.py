@@ -3,6 +3,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from frechetfit import (
@@ -133,6 +134,11 @@ BAD = [
     (lambda: SamplerConfig(seed=1, count=0, params=PARAMS), "count must be >= 1, got 0"),
     (lambda: SamplerConfig(-1, 5, PARAMS), "seed must be a 64-bit unsigned integer, got -1"),
     (lambda: SamplerConfig(2**64, 5, PARAMS), "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+    # a seed or count that is not an int or a numpy integer, a whole float too
+    (lambda: SamplerConfig(1.5, 5, PARAMS), "seed must be a 64-bit unsigned integer, got 1.5"),
+    (lambda: SamplerConfig(1, 2.5, PARAMS), "count must be an integer, got 2.5"),
+    (lambda: SamplerConfig(1, 3.0, PARAMS), "count must be an integer, got 3.0"),
+    (lambda: SamplerConfig(1, math.nan, PARAMS), "count must be an integer, got nan"),
     # _replace builds through _make, which checks the fields too
     (lambda: FrechetShape(2.0)._replace(alpha=-2.0), "shape parameter must be > 0, got -2.0"),
     (lambda: PARAMS._replace(scale=-1.0), "scale must be > 0, got -1.0"),
@@ -146,6 +152,11 @@ def test_validated_records_raise_domain_error(build, message):
     with pytest.raises(DomainError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_sampler_config_takes_numpy_integers():
+    config = SamplerConfig(np.uint64(7), np.int64(10), PARAMS)
+    assert config == SamplerConfig(7, 10, PARAMS)
 
 
 def test_replace_keeps_the_type():
