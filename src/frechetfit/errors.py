@@ -61,6 +61,3 @@ class ParseError(FrechetFitError, ValueError):
 
 class EmptyInputError(ParseError):
     """A sample file contained no data values."""
-
-    def __init__(self, message: str = "input contains no data values"):
-        super().__init__(message, line=None)

@@ -38,6 +38,7 @@ from .frechet import (
     _centered,
     _normalized,
     _omega,
+    _positive,
     _scaled,
     _skewness_reversion,
     _sum_reversion,
@@ -119,8 +120,7 @@ def _variance_residual(alpha: float, v: float) -> float:
 
 def alpha_order1(v: float) -> EstimateResult:
     """Leading-order closed form alpha = pi / sqrt(6 v)."""
-    if not (v > 0.0) or not math.isfinite(v):
-        raise DomainError(f"variance must be > 0, got {v!r}")
+    _positive(v, "variance")
     alpha = math.pi / math.sqrt(6.0 * v)
     return tuple.__new__(EstimateResult, (alpha, _ORDER1, _variance_residual(alpha, v), 0))
 
@@ -148,8 +148,7 @@ def _positive_cubic_root(v: float) -> float:
 
 def alpha_order2(v: float) -> EstimateResult:
     """Closed-form (trigonometric / Cardano) root of the order-2 variance expansion."""
-    if not (v > 0.0) or not math.isfinite(v):
-        raise DomainError(f"variance must be > 0, got {v!r}")
+    _positive(v, "variance")
     u = _positive_cubic_root(v)
     alpha = 1.0 / u
     return tuple.__new__(EstimateResult, (alpha, _ORDER2_CARDANO, _variance_residual(alpha, v), 0))
@@ -239,8 +238,7 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     `iterations` the number of evaluations of V, the seed's included.  A v that
     no alpha in that range matches raises NoConvergenceError.
     """
-    if not (v > 0.0) or not math.isfinite(v):
-        raise DomainError(f"variance must be > 0, got {v!r}")
+    _positive(v, "variance")
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be > 0, got {tol!r}")
     log_v = math.log(v)
@@ -296,17 +294,19 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
     target = 1.0 / s
     f = lambda u: 1.0 / _normalized(1.0 / u, 3) - target
     s_inf, table = _skewness_reversion()
-    lo, hi = _U_MIN, _U_MAX
-    ftol = 8.0 * math.ulp(target)
-    u0 = _sum_reversion(table, s - s_inf)
-    if u0 is None:  # the pole term, an upper bound on the root below alpha ~ 14.7
-        u0 = (1.0 - 1.0 / (s * _POLE_SKEWNESS_SCALE)) / 3.0
-        # the rounding bound of skewness = S_3 / S_2^1.5 at the seed, 0 above
-        # alpha = 6; the reverted series seeds only alpha above about 12
-        alpha0 = 1.0 / min(max(u0, lo), hi)
-        ftol = max(ftol, target * (_scaled(alpha0, 3)[1] + 1.5 * _scaled(alpha0, 2)[1]))
-    chord = lambda u, fu: u * (s - s_inf) / (1.0 / (fu + target) - s_inf)
-    root = _root(f, u0, chord, lo, hi, ftol, 200)
+    root = None  # at or below s_inf no alpha matches, and the chord's far point divides by zero
+    if s > s_inf:
+        lo, hi = _U_MIN, _U_MAX
+        ftol = 8.0 * math.ulp(target)
+        u0 = _sum_reversion(table, s - s_inf)
+        if u0 is None:  # the pole term, an upper bound on the root below alpha ~ 14.7
+            u0 = (1.0 - 1.0 / (s * _POLE_SKEWNESS_SCALE)) / 3.0
+            # the rounding bound of skewness = S_3 / S_2^1.5 at the seed, 0 above
+            # alpha = 6; the reverted series seeds only alpha above about 12
+            alpha0 = 1.0 / min(max(u0, lo), hi)
+            ftol = max(ftol, target * (_scaled(alpha0, 3)[1] + 1.5 * _scaled(alpha0, 2)[1]))
+        chord = lambda u, fu: u * (s - s_inf) / (1.0 / (fu + target) - s_inf)
+        root = _root(f, u0, chord, lo, hi, ftol, 200)
     if root is None:
         if s < _normalized(_ALPHA_MAX, 3):
             raise DegenerateFitError(

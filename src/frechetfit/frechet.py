@@ -9,12 +9,14 @@ the Omega_p below.  Where the binomial sum cancels too many digits to leave an
 answer (high orders at large alpha) it raises PrecisionLossError.  The
 variance and skewness series, reverted to u as power series in sqrt(V) and in
 skewness - s_inf, seed the inverse solves in estimation.  Public functions
-check their arguments once, then call the unchecked kernels (_omega, _scaled,
-_centered, _normalized), not one another.  The kernels call math.gamma and
-math.lgamma directly, not the checked wrappers of special_functions: every
-argument they pass, (alpha - p)/alpha with 1 <= p < alpha for Gamma and
-1 - 1/alpha with alpha > 2 for ln Gamma, lies in (0, 1], where the wrappers
-return exactly these values.
+check their arguments once, each rule stated in one function: _positive (alpha,
+scale and, in estimation, a variance are finite and above 0) and _order (a
+moment order is an integer of at least 1 or 2); then they call the unchecked
+kernels (_omega, _scaled, _centered, _normalized), not one another.  The
+kernels call math.gamma and math.lgamma directly, not the checked wrappers of
+special_functions: every argument they pass, (alpha - p)/alpha with
+1 <= p < alpha for Gamma and 1 - 1/alpha with alpha > 2 for ln Gamma, lies in
+(0, 1], where the wrappers return exactly these values.
 
 The records are typing.NamedTuples, which need neither dataclasses nor
 inspect at import; FrechetShape and FrechetParams check their fields in
@@ -50,17 +52,22 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise DomainError(f"shape parameter must be > 0, got {alpha!r}")
+def _positive(x: float, name: str) -> None:
+    """The rule for alpha, scale and variance: finite and above 0 (a nan fails)."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be > 0, got {x!r}")
 
 
-def _integral_order(k) -> int:
-    """An order that is not an int, such as 3.0 or numpy.int64(3), as an int.
+def _order(k, least: int, name: str) -> int:
+    """The rule for a moment order: an integer of at least `least`, returned as an int.
 
-    The kernels take int orders only: their tables are cached by order, and a
-    key 3.0 would find the table built for 3 only after such a call.
+    An order that is not an int, such as 3.0 or numpy.int64(3), becomes one:
+    the kernels' tables are cached by order, and a key 3.0 would find the
+    table built for 3 only after such a call.  Callers skip the call for an
+    int order of at least `least`.
     """
+    if not k >= least:  # a nan order too
+        raise DomainError(f"{name} order must be >= {least}, got {k!r}")
     if not (math.isfinite(k) and k == int(k)):
         raise DomainError(f"moment order must be an integer, got {k!r}")
     return int(k)
@@ -90,7 +97,7 @@ class FrechetShape(_Validated, _FrechetShapeFields):
     __slots__ = ()
 
     def __new__(cls, alpha: float):
-        _check_alpha(alpha)
+        _positive(alpha, "shape parameter")
         return tuple.__new__(cls, (alpha,))
 
 
@@ -108,9 +115,8 @@ class FrechetParams(_Validated, _FrechetParamsFields):
     def __new__(cls, location: float, scale: float, alpha: float):
         if not math.isfinite(location):
             raise DomainError(f"location must be finite, got {location!r}")
-        if not (scale > 0.0) or not math.isfinite(scale):
-            raise DomainError(f"scale must be > 0, got {scale!r}")
-        _check_alpha(alpha)
+        _positive(scale, "scale")
+        _positive(alpha, "shape parameter")
         return tuple.__new__(cls, (location, scale, alpha))
 
     @property
@@ -387,29 +393,29 @@ def raw_moment(d: FrechetShape, k: int) -> float:
     return _omega(d.alpha, k)
 
 
+def _defined_order(d: FrechetShape, k, name: str) -> int:
+    """The order rule for k >= 2, then k < alpha, which covers every alpha <= 2 as well."""
+    if type(k) is not int or k < 2:
+        k = _order(k, 2, name)
+    if k >= d.alpha:
+        raise UndefinedMomentError(f"{name} of order {k} diverges for alpha = {d.alpha}")
+    return k
+
+
 def centered_moment(d: FrechetShape, k: int) -> float:
     """k-th centered moment: the series kernel for alpha >= 2k, else the binomial sum.
 
     The binomial sum raises PrecisionLossError where it cancels to fewer than
     about six reliable digits (orders above 8 or so, see _MAX_ROUNDING).
     """
-    if not k >= 2:  # a nan order too
-        raise DomainError(f"centered moment order must be >= 2, got {k!r}")
-    if type(k) is not int:
-        k = _integral_order(k)
-    if k >= d.alpha:
-        raise UndefinedMomentError(
-            f"centered moment of order {k} diverges for alpha = {d.alpha}"
-        )
-    return _centered(d.alpha, k)
+    return _centered(d.alpha, _defined_order(d, k, "centered moment"))
 
 
 def shape_variance(alpha: float) -> float:
     """Omega_2 - Omega_1^2 for the one-parameter distribution (alpha > 2)."""
     if alpha <= 2.0:
         raise UndefinedMomentError(f"variance diverges for alpha = {alpha} <= 2")
-    if not math.isfinite(alpha):
-        raise DomainError(f"shape parameter must be finite, got {alpha!r}")
+    _positive(alpha, "shape parameter")  # inf and nan
     return _centered(alpha, 2)
 
 
@@ -429,15 +435,7 @@ def variance(d: FrechetParams) -> float:
 
 def normalized_centered_moment(d: FrechetShape, k: int) -> float:
     """Centered moment of order k divided by variance^(k/2), S_k / S_2^(k/2)."""
-    if not k >= 2:  # a nan order too
-        raise DomainError(f"normalized moment order must be >= 2, got {k!r}")
-    if type(k) is not int:
-        k = _integral_order(k)
-    if d.alpha <= 2.0 or k >= d.alpha:
-        raise UndefinedMomentError(
-            f"normalized centered moment of order {k} undefined for alpha = {d.alpha}"
-        )
-    return _normalized(d.alpha, k)
+    return _normalized(d.alpha, _defined_order(d, k, "normalized centered moment"))
 
 
 def skewness(d: FrechetShape) -> float:
@@ -463,10 +461,8 @@ def moment_report(d: FrechetShape, k: int) -> MomentReport:
     (PrecisionLossError).  Both come from one S_k evaluation, with the same
     values as centered_moment and normalized_centered_moment.
     """
-    if not k >= 1:
-        raise DomainError(f"moment order must be >= 1, got {k!r}")
-    if type(k) is not int:
-        k = _integral_order(k)
+    if type(k) is not int or k < 1:
+        k = _order(k, 1, "moment")
     alpha = d.alpha
     defined = k < alpha
     raw = _omega(alpha, k) if defined else None

@@ -607,6 +607,14 @@ class TestFitLocationScale:
         with pytest.raises(DegenerateFitError, match=r"12\*sqrt\(6\)\*zeta\(3\)/pi\^3 = 1\.1395471"):
             fit_location_scale(stats)
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-20, frechet._skewness_reversion()[0]], ids=["1e-300", "1e-20", "s_inf"])
+    def test_skewness_at_or_below_the_limit_is_typed(self, s):
+        # at or below s_inf no alpha matches; 1e-20 and 1e-300 raised ZeroDivisionError
+        # where 1/s swamped the skewness in the chord's far point
+        stats = SampleStats(count=3, mean=0.0, variance=1.0, skewness=s, excess_kurtosis=0.0)
+        with pytest.raises(DegenerateFitError, match=r"needs alpha > 1e\+09: it is at or near the alpha -> inf limit"):
+            fit_location_scale(stats)
+
     def test_skewness_above_every_alpha_names_the_bound(self):
         # the skewness tends to infinity as alpha falls to 3: no alpha in
         # [3 + 1e-9, 1e9] reaches 1e12

@@ -16,6 +16,8 @@ from frechetfit import (
     SampleStats,
     UndefinedMomentError,
     alpha_exact,
+    alpha_order1,
+    alpha_order2,
     cdf,
     centered_moment,
     excess_kurtosis,
@@ -618,6 +620,32 @@ class TestIntegerOrders:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              check=True, timeout=60)
         assert out.stdout == "True int\n"
+
+
+# each input rule that frechet states once (_positive, _order and the order
+# below alpha), with the exact type and message of every entry point's error
+RULES = [
+    *((f, (v,), DomainError, f"variance must be > 0, got {v!r}")
+      for f in (alpha_order1, alpha_order2, alpha_exact) for v in (0.0, -1.0, math.nan, math.inf)),
+    (shape_variance, (math.inf,), DomainError, "shape parameter must be > 0, got inf"),
+    (shape_variance, (math.nan,), DomainError, "shape parameter must be > 0, got nan"),
+    (centered_moment, (FrechetShape(10.0), 1), DomainError, "centered moment order must be >= 2, got 1"),
+    (normalized_centered_moment, (FrechetShape(10.0), 1), DomainError,
+     "normalized centered moment order must be >= 2, got 1"),
+    *((f, (FrechetShape(alpha), 2), UndefinedMomentError, f"{name} of order 2 diverges for alpha = {alpha}")
+      for f, name in ((centered_moment, "centered moment"), (normalized_centered_moment, "normalized centered moment"))
+      for alpha in (1.5, 2.0)),
+    (moment_report, (FrechetShape(10.0), 0), DomainError, "moment order must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("f, args, error, message", RULES,
+                         ids=[f"{f.__name__}({', '.join(map(repr, args))})" for f, args, _, _ in RULES])
+def test_input_rules_give_their_messages(f, args, error, message):
+    with pytest.raises(error) as info:
+        f(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # the benchmark grid of alphas: 400 log-spaced in [2.01, 1e8]
