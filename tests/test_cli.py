@@ -579,16 +579,72 @@ def test_only_the_sample_file_commands_load_numpy(tmp_path):
         "import contextlib, io, sys, frechetfit.cli",
         "print('numpy' in sys.modules)",
         "for argv in (['moments', '--alpha', '5'], ['estimate', '--variance', '0.02'], ['tables'],",
-        "             ['check', '--alpha-grid', '5'], ['estimate', '--input', sys.argv[1]]):",
+        "             ['check', '--alpha-grid', '5'], ['estimate', '--input', sys.argv[1]],",
+        "             ['sample', '--alpha', '5', '--count', '10', '-o', sys.argv[2]]):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        code = frechetfit.cli.main(argv)",
         "    print(argv[0], code, 'numpy' in sys.modules)",
     ])
-    out = subprocess.run([sys.executable, "-c", code, str(f)], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code, str(f), str(tmp_path / "g.txt")], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.splitlines() == [
         "False", "moments 0 False", "estimate 0 False", "tables 0 False", "check 0 False",
-        "estimate 0 True",
+        "estimate 0 True", "sample 0 True",
+    ]
+
+
+def _env_without_blas_threads(**variables):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return dict(env, PYTHONPATH=str(Path(frechetfit.__file__).parents[1]), **variables)
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+@pytest.mark.parametrize("command", ["estimate", "sample"])
+def test_sample_commands_start_numpy_with_one_openblas_thread(tmp_path, command, preset):
+    # no command does BLAS work, so the two that load numpy spare OpenBLAS's
+    # worker pool; a value the user set wins
+    f = tmp_path / "s.txt"
+    f.write_text("1.0\n2.0\n4.0\n")
+    argv = {"estimate": ["estimate", "--input", str(f)],
+            "sample": ["sample", "--alpha", "5", "--count", "10", "-o", str(tmp_path / "g.txt")]}[command]
+    code = "\n".join([
+        "import contextlib, io, json, os, sys, frechetfit.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = frechetfit.cli.main(json.loads(sys.argv[1]))",
+        "task = '/proc/self/task'",
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None",
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), threads)",
+    ])
+    env = _env_without_blas_threads(**({} if preset is None else {"OPENBLAS_NUM_THREADS": preset}))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    exit_code, value, threads = out.stdout.split()
+    assert (exit_code, value) == ("0", preset or "1")
+    if preset is None and threads != "None":
+        assert threads == "1"
+
+
+def test_scalar_commands_and_the_library_leave_the_blas_setting_alone(tmp_path):
+    # only the CLI's sample commands set OPENBLAS_NUM_THREADS, and only before
+    # numpy loads, when OpenBLAS can still read it
+    f = tmp_path / "s.txt"
+    f.write_text("1.0\n2.0\n4.0\n")
+    code = "\n".join([
+        "import contextlib, io, os, sys, frechetfit.cli",
+        "for argv in (['moments', '--alpha', '5'], ['estimate', '--variance', '0.02']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = frechetfit.cli.main(argv)",
+        "    print(argv[0], code, 'OPENBLAS_NUM_THREADS' in os.environ)",
+        "import frechetfit.sampling_io",
+        "print('sampling_io', 'OPENBLAS_NUM_THREADS' in os.environ)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = frechetfit.cli.main(['estimate', '--input', sys.argv[1]])",
+        "print('estimate', code, 'OPENBLAS_NUM_THREADS' in os.environ)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, str(f)], env=_env_without_blas_threads(),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == [
+        "moments 0 False", "estimate 0 False", "sampling_io False", "estimate 0 False",
     ]
 
 
