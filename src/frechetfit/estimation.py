@@ -62,6 +62,8 @@ _ALPHA_MAX = 1e9
 # the search ranges of the two solves: t = ln alpha in alpha_exact, u = 1/alpha in the fit
 _T_MIN, _T_MAX = math.log(_ALPHA_MIN), math.log(_ALPHA_MAX)
 _U_MIN, _U_MAX = 1.0 / _ALPHA_MAX, 1.0 / (3.0 + 1e-9)
+# the Illinois steps either solve may take inside its bracket before NoConvergenceError
+_MAX_ITER = 200
 # skewness ~ Gamma(1 - 3u) / V(1/3)^1.5 ~ 1 / ((1 - 3u) V(1/3)^1.5) as u -> 1/3
 _POLE_SKEWNESS_SCALE = _centered(3.0, 2) ** 1.5
 
@@ -218,7 +220,7 @@ def _past_log_variance_root(t: float, ft: float) -> float:
     return t + 0.5 * ft
 
 
-def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateResult:
+def alpha_exact(v: float, tol: float = 1e-12) -> EstimateResult:
     """Solve Gamma(1-2/alpha) - Gamma(1-1/alpha)^2 = v for alpha.
 
     `_root` solves f(t) = ln V(e^t) - ln v = 0 in t = ln alpha, for alpha in
@@ -251,7 +253,7 @@ def alpha_exact(v: float, tol: float = 1e-12, max_iter: int = 200) -> EstimateRe
     else:
         alpha_0 = 1.0 / u_0
     t_0 = math.log(alpha_0)
-    root = _root(f, t_0, _past_log_variance_root, _T_MIN, _T_MAX, tol, max_iter)
+    root = _root(f, t_0, _past_log_variance_root, _T_MIN, _T_MAX, tol, _MAX_ITER)
     if root is None:
         raise NoConvergenceError(f"no alpha in [{_ALPHA_MIN}, {_ALPHA_MAX:g}] matches variance {v}")
     t, log_ratio, evaluations = root
@@ -306,7 +308,7 @@ def fit_location_scale(stats: SampleStats) -> FrechetParams:
             alpha0 = 1.0 / min(max(u0, lo), hi)
             ftol = max(ftol, target * (_scaled(alpha0, 3)[1] + 1.5 * _scaled(alpha0, 2)[1]))
         chord = lambda u, fu: u * (s - s_inf) / (1.0 / (fu + target) - s_inf)
-        root = _root(f, u0, chord, lo, hi, ftol, 200)
+        root = _root(f, u0, chord, lo, hi, ftol, _MAX_ITER)
     if root is None:
         if s < _normalized(_ALPHA_MAX, 3):
             raise DegenerateFitError(

@@ -138,33 +138,33 @@ class MomentReport(NamedTuple):
     defined: bool
 
 
+_SMALLEST_NORMAL = sys.float_info.min
+
+
+def _z(d: FrechetParams, x: float) -> float:
+    """z = ((x - m)/s)^-alpha for x above the location; OverflowError where it overflows.
+
+    A subnormal or zero ratio y takes ln y from ln(x - m), which is exact
+    there, and ln s, without forming y.
+    """
+    y = (x - d.location) / d.scale
+    if y >= _SMALLEST_NORMAL:
+        return y**-d.alpha
+    return math.exp(-d.alpha * (math.log(x - d.location) - math.log(d.scale)))
+
+
 def pdf(d: FrechetParams, x: float) -> float:
-    """Density of the location-scale Frechet distribution; 0 at or below location."""
+    """Density alpha z e^(-z) / (x - m) with z = ((x-m)/s)^-alpha; 0 at or below location."""
     if x <= d.location:
         return 0.0
-    y = (x - d.location) / d.scale
-    if y >= sys.float_info.min:
-        try:
-            z = y**-d.alpha
-        except OverflowError:  # the density underflows long before z overflows
-            return 0.0
-        if z <= 708.0:  # exp(-z) is a normal float
-            try:
-                return (d.alpha / d.scale) * y ** (-1.0 - d.alpha) * math.exp(-z)
-            except OverflowError:  # y**(-1 - alpha), for a small alpha
-                pass
-        log_y = math.log(y)
-    else:
-        # y is subnormal or underflows to 0: ln y from ln(x - location),
-        # which is exact there, and ln(scale), without forming y
-        log_y = math.log(x - d.location) - math.log(d.scale)
-        try:
-            z = math.exp(-d.alpha * log_y)
-        except OverflowError:
-            return 0.0
-    # exp(-z) is subnormal or 0, or y**(-1 - alpha) overflows, or y is tiny: from logarithms
     try:
-        return math.exp(math.log(d.alpha) - math.log(d.scale) - (1.0 + d.alpha) * log_y - z)
+        z = _z(d, x)
+    except OverflowError:  # the density underflows long before z overflows
+        return 0.0
+    if z <= 708.0:  # exp(-z) is a normal float; z e^(-z) <= 1/e, so alpha times it is finite
+        return d.alpha * (z * math.exp(-z)) / (x - d.location)
+    try:  # exp(-z) is subnormal or 0: from logarithms
+        return math.exp(math.log(d.alpha) + math.log(z) - z - math.log(x - d.location))
     except OverflowError:  # the density exceeds the largest float
         return math.inf
 
@@ -173,13 +173,9 @@ def cdf(d: FrechetParams, x: float) -> float:
     """exp(-((x-m)/s)^-alpha) above the location, 0 otherwise."""
     if x <= d.location:
         return 0.0
-    y = (x - d.location) / d.scale
     try:
-        if y >= sys.float_info.min:
-            return math.exp(-(y**-d.alpha))
-        # y is subnormal or 0: ln y as in pdf
-        return math.exp(-math.exp(-d.alpha * (math.log(x - d.location) - math.log(d.scale))))
-    except OverflowError:  # y**-alpha overflows where exp(-y**-alpha) underflows
+        return math.exp(-_z(d, x))
+    except OverflowError:  # z overflows where exp(-z) underflows
         return 0.0
 
 

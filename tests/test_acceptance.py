@@ -60,7 +60,7 @@ def test_criterion_2_order2_table():
 def test_criterion_3_exact_round_trip():
     ok = True
     for alpha in (2.5, 3.0, 5.0, 10.0, 50.0, 100.0, 500.0):
-        r = alpha_exact(shape_variance(alpha), 1e-12, 200)
+        r = alpha_exact(shape_variance(alpha), 1e-12)
         ok = ok and abs(r.alpha - alpha) / alpha <= 1e-8 and r.iterations <= 200
     report("3 exact solver round-trips the variance to 1e-8", ok)
 

@@ -125,16 +125,16 @@ class TestAlphaOrder2:
 
 class TestAlphaExact:
     def test_table_row_alpha5(self):
-        r = alpha_exact(0.133761, 1e-12, 200)
+        r = alpha_exact(0.133761, 1e-12)
         assert r.method is Method.EXACT_ROOT
         assert r.alpha == pytest.approx(5.0, abs=0.001)
 
     def test_table_row_alpha50(self):
-        assert alpha_exact(0.000694362, 1e-12, 200).alpha == pytest.approx(50.0, abs=0.005)
+        assert alpha_exact(0.000694362, 1e-12).alpha == pytest.approx(50.0, abs=0.005)
 
     def test_round_trip_through_variance(self):
         v = shape_variance(10.0)
-        assert alpha_exact(v, 1e-12, 200).alpha == pytest.approx(10.0, abs=1e-9)
+        assert alpha_exact(v, 1e-12).alpha == pytest.approx(10.0, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 5.0, 10.0, 50.0, 100.0, 500.0])
     def test_round_trip_grid(self, alpha):

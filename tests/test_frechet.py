@@ -77,10 +77,11 @@ class TestPdf:
     def test_zero_just_above_location(self, f, alpha, x):
         assert f(FrechetParams(0.0, 1.0, alpha), x) == 0.0
 
-    # a small alpha keeps the density finite and nonzero where y**(-1 - alpha)
-    # overflows (the first two points, and the last, where y is a normal
-    # float and the power raises) or exp(-z) is subnormal (the third and
-    # fourth); the fifth is past the largest float
+    # a small alpha keeps the density finite and nonzero just above the
+    # location: alpha z e^(-z) is divided by a subnormal x - m (the first two
+    # points) or a tiny normal one (the last); exp(-z) is subnormal at the
+    # third and fourth, which take logarithms; the fifth is past the largest
+    # float, where the division gives inf
     @pytest.mark.parametrize("alpha,x", [
         (0.001, 1e-310), (0.005, 1e-309), (0.0089, 1e-323), (0.0095, 1e-302), (0.001, 5e-324),
         (0.005, 1e-307),
@@ -105,6 +106,31 @@ class TestPdf:
             z = y**-a
             ref = a / s * y ** (-1 - a) * mp.exp(-z) if f is pdf else mp.exp(-z)
         assert f(FrechetParams(0.0, scale, alpha), x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    # the bulk: 16 log-spaced alphas in [0.1, 31.6] times 16 log-spaced
+    # y = (x - m)/s in [10^-0.5, 10], where the density is a normal float (239
+    # points at each location and scale).  x - m and the division by s = 2 are
+    # exact here, so every error is the function's own: rounding z = y^-alpha
+    # costs about z ulps in e^(-z), the rest a few.  A y^(-1 - alpha) power
+    # would add about alpha ln(y) ulps, from rounding -1 - alpha.
+    @pytest.mark.parametrize("m,s", [(0.0, 1.0), (3.0, 2.0)])
+    def test_bulk_within_4_plus_z_ulps(self, m, s):
+        points = 0
+        for i in range(16):
+            alpha = 10.0 ** (-1.0 + i / 6.0)
+            d = FrechetParams(m, s, alpha)
+            for j in range(16):
+                x = m + s * 10.0 ** (-0.5 + j / 10.0)
+                with mp.workdps(50):
+                    a, y = mp.mpf(alpha), (mp.mpf(x) - m) / s
+                    z = y**-a
+                    ref = a / s * y ** (-1 - a) * mp.exp(-z)
+                    if ref < sys.float_info.min:
+                        continue
+                    ulps = abs(pdf(d, x) - ref) / ref / sys.float_info.epsilon
+                assert ulps <= 4 + z, (alpha, x)
+                points += 1
+        assert points == 239
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("m,s", [(0.0, 1.0), (3.0, 2.0)])
@@ -366,19 +392,15 @@ class TestVariance:
 
     def test_ten_digits_at_alpha_100(self):
         # stabilized path must keep >= 10 significant digits at alpha = 100
-        with mp.workdps(40):
-            ref = mp.gamma(1 - mp.mpf(2) / 100) - mp.gamma(1 - mp.mpf(1) / 100) ** 2
-        got = shape_variance(100.0)
-        assert abs(got - float(ref)) / float(ref) < 1e-10
+        ref = frechet_moments(100.0, 2)[1]
+        assert abs(shape_variance(100.0) - ref) / ref < 1e-10
 
     def test_twelve_digits_on_log_grid(self):
         # the pole series keeps full precision where Omega_2 - Omega_1^2 cancels
-        with mp.workdps(40):
-            for i in range(81):
-                alpha = 2.01 * (1e8 / 2.01) ** (i / 80)
-                u = 1 / mp.mpf(alpha)
-                ref = mp.gamma(1 - 2 * u) - mp.gamma(1 - u) ** 2
-                assert abs(shape_variance(alpha) - ref) <= 1e-12 * ref, alpha
+        for i in range(81):
+            alpha = 2.01 * (1e8 / 2.01) ** (i / 80)
+            ref = frechet_moments(alpha, 2)[1]
+            assert abs(shape_variance(alpha) - ref) <= 1e-12 * ref, alpha
 
 
 def _kernel_grid(k):
