@@ -129,36 +129,32 @@ def _sample_layer():
     return sampling_io
 
 
-def _cmd_estimate(args) -> int:
-    notes = []
-    sample_info = None
-    if args.input is not None:
-        stats = _sample_layer().file_stats(args.input, column=args.column)
-        v = stats.variance
-        sample_info = {"count": stats.count, "mean": stats.mean, "variance": stats.variance}
-        notes.append(f"sample count {stats.count}, mean {_fmt(stats.mean)}, variance {_fmt(v)}")
-    else:
-        v = args.variance
-    # built per call, so that an estimator patched on this module runs
-    estimators = {"order1": alpha_order1, "order2": alpha_order2,
-                  "exact": lambda v: alpha_exact(v, tol=args.tol)}
-    methods = list(estimators) if args.method == "all" else [args.method]
-    results = [estimators[m](v) for m in methods]
+# the names of `estimate --method`, in the order that `--method all` runs them
+_METHODS = ("order1", "order2", "exact")
+# the table and csv columns of an estimate record: its fields, each with its format
+_ESTIMATE_COLUMNS = {"method": str, "alpha": _fmt, "residual": lambda x: _fmt(x, 6), "iterations": str}
 
-    rows = [["method", "alpha", "residual", "iterations"]] + [
-        [r.method.value, _fmt(r.alpha), _fmt(r.residual, 6), str(r.iterations)]
-        for r in results
+
+def _cmd_estimate(args) -> int:
+    # one summary of either input: the file's moments (None for --variance) and the variance v
+    stats = None if args.input is None else _sample_layer().file_stats(args.input, column=args.column)
+    v = args.variance if stats is None else stats.variance
+    # built per call, so that an estimator patched on this module runs
+    estimators = dict(zip(_METHODS, (alpha_order1, alpha_order2, lambda v: alpha_exact(v, tol=args.tol))))
+    records = []
+    for method in _METHODS if args.method == "all" else [args.method]:
+        r = estimators[method](v)
+        # a flag is not an error: no variance exists at alpha <= 2, so v cannot be its variance
+        records.append({"method": r.method.value, "alpha": r.alpha, "residual": r.residual,
+                        "iterations": r.iterations, "flags": ["alpha_at_most_2"] if r.alpha <= 2.0 else []})
+    rows = [list(_ESTIMATE_COLUMNS)] + [
+        [f(record[key]) for key, f in _ESTIMATE_COLUMNS.items()] for record in records
     ]
-    payload = {
-        "variance": v,
-        "sample": sample_info,
-        "estimates": [
-            {"method": r.method.value, "alpha": r.alpha, "residual": r.residual,
-             "iterations": r.iterations}
-            for r in results
-        ],
-    }
-    _emit(args.format, payload, *notes, rows)
+    sample_info = None if stats is None else {"count": stats.count, "mean": stats.mean, "variance": v}
+    notes = [] if stats is None else [f"sample count {stats.count}, mean {_fmt(stats.mean)}, variance {_fmt(v)}"]
+    flagged = ", ".join(record["method"] for record in records if record["flags"])
+    footnote = [f"flagged alpha_at_most_2 (no variance exists at alpha <= 2): {flagged}"] if flagged else []
+    _emit(args.format, {"variance": v, "sample": sample_info, "estimates": records}, *notes, rows, *footnote)
     return 0
 
 
@@ -275,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", type=str, help="sample file (one value per line)")
     p.add_argument("--column", type=str, default=None,
                    help="column name if the file has a header; needs --input")
-    p.add_argument("--method", choices=["order1", "order2", "exact", "all"], default="all",
+    p.add_argument("--method", choices=[*_METHODS, "all"], default="all",
                    help="order1: pi / sqrt(6 v); order2: the root of the order-2 cubic in 1/alpha; "
                         "exact: the root of ln V(alpha) = ln v; all: the three (default)")
     p.add_argument("--tol", type=float, default=1e-12,

@@ -161,10 +161,15 @@ def pdf(d: FrechetParams, x: float) -> float:
         z = _z(d, x)
     except OverflowError:  # the density underflows long before z overflows
         return 0.0
-    if z <= 708.0:  # exp(-z) is a normal float; z e^(-z) <= 1/e, so alpha times it is finite
+    if _SMALLEST_NORMAL <= z <= 708.0:  # z, exp(-z) normal; z e^(-z) <= 1/e, so alpha times it is finite
         return d.alpha * (z * math.exp(-z)) / (x - d.location)
-    try:  # exp(-z) is subnormal or 0: from logarithms
-        return math.exp(math.log(d.alpha) + math.log(z) - z - math.log(x - d.location))
+    # from logarithms: above 708 exp(-z) is subnormal or 0; below the normals,
+    # far in the upper tail, z has lost digits or is 0, so ln z is formed
+    # without z, and e^(-z) is 1
+    ln_xm = math.log(x - d.location)
+    ln_z = math.log(z) if z > 708.0 else -d.alpha * (ln_xm - math.log(d.scale))
+    try:
+        return math.exp(math.log(d.alpha) + ln_z - z - ln_xm)
     except OverflowError:  # the density exceeds the largest float
         return math.inf
 

@@ -218,6 +218,108 @@ class TestEstimate:
         assert [e["alpha"] for e in payload["estimates"]] == alphas
 
 
+# a small sample whose three estimates all lie above 2, so none is flagged
+FIXED_SAMPLE = "1.0\n1.2\n0.9\n1.4\n1.1\n0.95\n1.3\n1.05\n"
+
+
+class TestEstimateOutput:
+    """The whole output of `estimate`: the table and csv bytes are those the
+    command printed before its estimates carried flags."""
+
+    # each row is padded to its columns' widths, the last column too
+    @pytest.mark.parametrize("source, fmt, expected", [
+        ("variance", "table",
+         "method          alpha        residual     iterations\n"
+         "order1          8.595838685  0.00967548   0         \n"
+         "order2-cardano  9.687182764  0.0017306    0         \n"
+         "exact-root      10.00000205  2.96595e-17  6         \n"),
+        ("variance", "csv",
+         "method,alpha,residual,iterations\n"
+         "order1,8.595838685,0.00967548,0\n"
+         "order2-cardano,9.687182764,0.0017306,0\n"
+         "exact-root,10.00000205,2.96595e-17,6\n"),
+        ("input", "table",
+         "sample count 8, mean 1.1125, variance 0.03053571429\n"
+         "method          alpha        residual     iterations\n"
+         "order1          7.339563053  0.0166821    0         \n"
+         "order2-cardano  8.404537902  0.00319878   0         \n"
+         "exact-root      8.756803869  3.39015e-16  6         \n"),
+        ("input", "csv",
+         "# sample count 8, mean 1.1125, variance 0.03053571429\n"
+         "method,alpha,residual,iterations\n"
+         "order1,7.339563053,0.0166821,0\n"
+         "order2-cardano,8.404537902,0.00319878,0\n"
+         "exact-root,8.756803869,3.39015e-16,6\n"),
+    ])
+    def test_table_and_csv_bytes(self, capsys, tmp_path, source, fmt, expected):
+        f = tmp_path / "fixed.txt"
+        f.write_text(FIXED_SAMPLE)
+        argv = ["--variance", "0.0222624", "--method", "all"] if source == "variance" else ["--input", str(f)]
+        code, out, err = run(capsys, "estimate", *argv, "--format", fmt)
+        assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("source", ["variance", "input"])
+    def test_json_keys_and_values_from_the_library(self, capsys, tmp_path, source):
+        f = tmp_path / "fixed.txt"
+        f.write_text(FIXED_SAMPLE)
+        argv = ["--variance", "0.0222624"] if source == "variance" else ["--input", str(f)]
+        code, out, _ = run(capsys, "estimate", *argv, "--tol", "1e-10", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["schema_version", "variance", "sample", "estimates"]
+        if source == "variance":
+            v, sample_info = 0.0222624, None
+        else:
+            stats = sample_stats(read_samples(f))
+            v, sample_info = stats.variance, {"count": 8, "mean": stats.mean, "variance": stats.variance}
+        assert (payload["schema_version"], payload["variance"], payload["sample"]) == (1, v, sample_info)
+        results = [alpha_order1(v), alpha_order2(v), alpha_exact(v, tol=1e-10)]
+        assert [list(e) for e in payload["estimates"]] == \
+            [["method", "alpha", "residual", "iterations", "flags"]] * 3
+        assert payload["estimates"] == [
+            {"method": r.method.value, "alpha": r.alpha, "residual": r.residual,
+             "iterations": r.iterations, "flags": []}
+            for r in results
+        ]
+
+    # an order-1 or order-2 alpha at or below 2, where no variance exists, is
+    # flagged: in json on its record, in table and csv by a note after the
+    # rows; exact-root never is, since its bracket starts at 2 + 1e-9
+    @pytest.mark.parametrize("source, alphas, flagged", [
+        ("--variance 1.0", [1.283, 1.96, 2.898], ["order1", "order2-cardano"]),
+        ("--variance 0.5", [1.814, 2.575, 3.387], ["order1"]),
+        ("sample --alpha 1.5", [0.102, 0.312, 2.012], ["order1", "order2-cardano"]),
+    ])
+    def test_alpha_at_most_2_is_flagged(self, capsys, tmp_path, source, alphas, flagged):
+        argv = source.split()
+        if argv[0] == "sample":
+            f = tmp_path / "a15.txt"
+            assert run(capsys, "sample", "--alpha", "1.5", "--count", "10000", "--seed", "3",
+                       "-o", str(f))[0] == 0
+            argv = ["--input", str(f)]
+        code, out, err = run(capsys, "estimate", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        estimates = json.loads(out)["estimates"]
+        assert [round(e["alpha"], 3) for e in estimates] == alphas
+        assert [e["flags"] for e in estimates] == \
+            [["alpha_at_most_2"] if e["method"] in flagged else [] for e in estimates]
+        assert all((e["alpha"] <= 2.0) == bool(e["flags"]) for e in estimates)
+        note = f"flagged alpha_at_most_2 (no variance exists at alpha <= 2): {', '.join(flagged)}"
+        for fmt, line in (("table", note), ("csv", f"# {note}")):
+            code, out, err = run(capsys, "estimate", *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == line
+            assert out.count("flagged") == 1
+
+    def test_an_estimator_patched_on_the_module_runs(self, capsys, monkeypatch):
+        import frechetfit.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "alpha_exact", lambda v, tol: calls.append(tol) or alpha_exact(v, tol))
+        code, _, _ = run(capsys, "estimate", "--variance", "0.02", "--method", "exact", "--tol", "1e-9")
+        assert (code, calls) == (0, [1e-9])
+
+
 class TestSample:
     def test_deterministic_files(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"

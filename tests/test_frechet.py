@@ -107,6 +107,18 @@ class TestPdf:
             ref = a / s * y ** (-1 - a) * mp.exp(-z) if f is pdf else mp.exp(-z)
         assert f(FrechetParams(0.0, scale, alpha), x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
+    # far in the upper tail at a tiny scale z = y^-alpha is below the normals
+    # (1e-330 and 1e-320) while the density is a normal float: at the first
+    # point z underflows to 0, at the second it keeps 5 digits
+    @pytest.mark.parametrize("scale,alpha,x", [(1e-200, 3.0, 1e-90), (1e-300, 2.0, 1e-140)])
+    def test_upper_tail_with_z_below_the_normals(self, scale, alpha, x):
+        with mp.workdps(60):
+            a, s = mp.mpf(alpha), mp.mpf(scale)
+            y = mp.mpf(x) / s
+            ref = a / s * y ** (-1 - a) * mp.exp(-(y**-a))
+        assert float(ref) > sys.float_info.min
+        assert pdf(FrechetParams(0.0, scale, alpha), x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
     # the bulk: 16 log-spaced alphas in [0.1, 31.6] times 16 log-spaced
     # y = (x - m)/s in [10^-0.5, 10], where the density is a normal float (239
     # points at each location and scale).  x - m and the division by s = 2 are
